@@ -49,10 +49,14 @@ fi
 if [[ "${ASAN:-0}" == "1" ]]; then
   # Address+UBSan gate for the memory-heavy paths: COW extent buffers and
   # chains, write-privatization bitmaps, snapshot capture/restore, pool
-  # residency accounting.  Separate build dir: sanitizer objects don't mix.
+  # residency accounting, and the interpreter's fast paths (a fixed-width
+  # fetch window and direct data accesses copied out of guest memory), which
+  # the vcc, boot, runtime and HTTP-handler suites drive hardest.  Separate
+  # build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
-              test_cpu test_isa test_fault_injection test_recovery test_listener)
+              test_cpu test_isa test_fault_injection test_recovery test_listener
+              test_vcc_deep test_boot_smoke test_vrt test_net)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"

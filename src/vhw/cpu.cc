@@ -1,5 +1,6 @@
 #include "src/vhw/cpu.h"
 
+#include <array>
 #include <cstring>
 
 namespace vhw {
@@ -7,6 +8,23 @@ namespace vhw {
 using visa::Cond;
 using visa::Mode;
 using visa::Op;
+
+namespace {
+
+// Widest VBC encoding (mov reg, imm64): the fetch fast path copies this many
+// bytes whenever they all lie inside the last-fetched code page.
+constexpr int kMaxInsnBytes = 10;
+
+// Encoded size per opcode byte, 0 for bytes that are not opcodes.
+const std::array<uint8_t, 256> kInsnBytes = [] {
+  std::array<uint8_t, 256> sizes{};
+  for (int op = 0; op < static_cast<int>(Op::kOpCount); ++op) {
+    sizes[op] = static_cast<uint8_t>(visa::InsnSize(static_cast<Op>(op)));
+  }
+  return sizes;
+}();
+
+}  // namespace
 
 const char* BootEventName(BootEvent event) {
   switch (event) {
@@ -210,40 +228,39 @@ bool Cpu::StoreVa(uint64_t va, int bytes, uint64_t value) {
   return true;
 }
 
-void Cpu::SetFlagsLogic(uint64_t result) {
-  const uint64_t mask = WidthMask();
-  const int bits = WordSize() * 8;
+inline void Cpu::SetFlagsLogic(uint64_t result, uint64_t mask) {
+  const uint64_t sign = mask ^ (mask >> 1);
   const uint64_t r = result & mask;
   st_.zf = r == 0;
-  st_.sf = ((r >> (bits - 1)) & 1) != 0;
+  st_.sf = (r & sign) != 0;
   st_.cf = false;
   st_.of = false;
 }
 
-void Cpu::SetFlagsAddSub(uint64_t a, uint64_t b, uint64_t result, bool is_sub) {
-  const uint64_t mask = WidthMask();
-  const int bits = WordSize() * 8;
+inline void Cpu::SetFlagsAddSub(uint64_t a, uint64_t b, uint64_t result, bool is_sub,
+                                 uint64_t mask) {
+  const uint64_t sign = mask ^ (mask >> 1);
   const uint64_t am = a & mask;
   const uint64_t bm = b & mask;
   const uint64_t r = result & mask;
   st_.zf = r == 0;
-  st_.sf = ((r >> (bits - 1)) & 1) != 0;
-  const bool sa = ((am >> (bits - 1)) & 1) != 0;
-  const bool sb = ((bm >> (bits - 1)) & 1) != 0;
-  const bool sr = ((r >> (bits - 1)) & 1) != 0;
+  st_.sf = (r & sign) != 0;
+  const bool sa = (am & sign) != 0;
+  const bool sb = (bm & sign) != 0;
+  const bool sr = (r & sign) != 0;
   if (is_sub) {
     st_.cf = am < bm;
     st_.of = (sa != sb) && (sr != sa);
   } else {
     // Carry for addition: unsigned overflow at the mode width.  am + bm
-    // cannot overflow uint64 here unless bits == 64, where wraparound makes
-    // the `< am` comparison correct on its own.
-    st_.cf = bits == 64 ? r < am : (am + bm) > mask;
+    // cannot overflow uint64 here unless the width is 64 bits, where
+    // wraparound makes the `< am` comparison correct on its own.
+    st_.cf = mask == ~0ULL ? r < am : (am + bm) > mask;
     st_.of = (sa == sb) && (sr != sa);
   }
 }
 
-bool Cpu::EvalCond(Cond cc) const {
+inline bool Cpu::EvalCond(Cond cc) const {
   switch (cc) {
     case Cond::kEq:
       return st_.zf;
@@ -446,6 +463,37 @@ Exit Cpu::Run(uint64_t max_insns) {
   }
   fault_.clear();
 
+  // State the loop reads on every instruction lives in locals.  A guest
+  // store goes through a uint8_t pointer that may alias any member, so
+  // member state would be reloaded and re-stored around every one.  The
+  // guest memory never resizes, and only ljmp changes the mode mid-run.
+  const uint8_t* const ram = mem_->data();
+  const uint64_t ram_size = mem_->size();
+  uint64_t mask = WidthMask();
+  int word = WordSize();
+  bool paging = st_.mode == Mode::kLong64;
+
+  // Per-instruction charges accumulate in `tally` and fold into insns_ and
+  // cycles_ on every exit, and before anything that reads cycles_ (rdtsc,
+  // a boot milestone).  Out-of-line helpers (page walks, the reference
+  // LoadVa/StoreVa) still charge cycles_ directly; the sums commute.
+  struct Tally {
+    explicit Tally(Cpu* owner) : cpu(owner) {}
+    Tally(const Tally&) = delete;
+    Tally& operator=(const Tally&) = delete;
+    ~Tally() {
+      cpu->insns_ += insns;
+      Flush();
+    }
+    void Flush() {
+      cpu->cycles_ += cycles;
+      cycles = 0;
+    }
+    Cpu* cpu;
+    uint64_t insns = 0;
+    uint64_t cycles = 0;
+  } tally(this);
+
   uint64_t last_fetch_vpn = ~0ULL;
   uint64_t last_fetch_page = 0;
 
@@ -454,7 +502,7 @@ Exit Cpu::Run(uint64_t max_insns) {
   auto fetch = [&](uint64_t va, int n, uint8_t* out) -> bool {
     const uint64_t off = va & (kPageSize - 1);
     if ((va >> kPageBits) == last_fetch_vpn && off + static_cast<uint64_t>(n) <= kPageSize) {
-      std::memcpy(out, mem_->data() + last_fetch_page + off, static_cast<size_t>(n));
+      std::memcpy(out, ram + last_fetch_page + off, static_cast<size_t>(n));
       return true;
     }
     for (int i = 0; i < n; ++i) {
@@ -475,6 +523,73 @@ Exit Cpu::Run(uint64_t max_insns) {
     return true;
   };
 
+  // Data fast path.  An access that hits the TLB (or runs with paging off)
+  // and lies inside one page of guest memory is exactly the case in which
+  // LoadVa/StoreVa translate without a walk and access memory directly; it
+  // is served here with the same charges (mem_access, plus the EPT first
+  // touch of its region).  Everything else falls through to them.  The
+  // lambdas are forced inline: an out-of-line call would push `tally`
+  // back into memory.
+  auto direct_pa = [&](uint64_t va, int bytes, uint64_t* pa) __attribute__((always_inline)) {
+    uint64_t p = va;
+    if (paging) {
+      const TlbEntry& e = tlb_[(va >> kPageBits) & (kTlbEntries - 1)];
+      if (e.vpn != (va >> kPageBits)) {
+        return false;
+      }
+      p = e.page + (va & (kPageSize - 1));
+    }
+    if ((p & (kPageSize - 1)) + static_cast<uint64_t>(bytes) > kPageSize ||
+        p + static_cast<uint64_t>(bytes) > ram_size) {
+      return false;
+    }
+    *pa = p;
+    return true;
+  };
+  auto charge_mem = [&](uint64_t pa) __attribute__((always_inline)) {
+    tally.cycles += cost_.mem_access;
+    if (mem_->TouchRegion(pa)) {
+      tally.cycles += cost_.ept_first_touch;
+    }
+  };
+  auto load = [&](uint64_t va, int bytes, bool sign,
+                  uint64_t* out) __attribute__((always_inline)) {
+    uint64_t pa = 0;
+    if (!direct_pa(va, bytes, &pa)) {
+      return LoadVa(va, bytes, sign, out);
+    }
+    uint64_t v;
+    switch (bytes) {
+      case 1: v = mem_->LoadRaw<uint8_t>(pa); break;
+      case 2: v = mem_->LoadRaw<uint16_t>(pa); break;
+      case 4: v = mem_->LoadRaw<uint32_t>(pa); break;
+      case 8: v = mem_->LoadRaw<uint64_t>(pa); break;
+      default: return LoadVa(va, bytes, sign, out);
+    }
+    if (sign && bytes < 8) {
+      const int shift = 64 - 8 * bytes;
+      v = static_cast<uint64_t>(static_cast<int64_t>(v << shift) >> shift);
+    }
+    charge_mem(pa);
+    *out = v;
+    return true;
+  };
+  auto store = [&](uint64_t va, int bytes, uint64_t value) __attribute__((always_inline)) {
+    uint64_t pa = 0;
+    if (!direct_pa(va, bytes, &pa)) {
+      return StoreVa(va, bytes, value);
+    }
+    switch (bytes) {
+      case 1: mem_->StoreRaw<uint8_t>(pa, static_cast<uint8_t>(value)); break;
+      case 2: mem_->StoreRaw<uint16_t>(pa, static_cast<uint16_t>(value)); break;
+      case 4: mem_->StoreRaw<uint32_t>(pa, static_cast<uint32_t>(value)); break;
+      case 8: mem_->StoreRaw<uint64_t>(pa, value); break;
+      default: return StoreVa(va, bytes, value);
+    }
+    charge_mem(pa);
+    return true;
+  };
+
   auto fault_exit = [&]() {
     Exit e;
     e.kind = ExitKind::kFault;
@@ -492,25 +607,32 @@ Exit Cpu::Run(uint64_t max_insns) {
 
   for (uint64_t n = 0; n < max_insns; ++n) {
     const uint64_t pc = st_.rip;
-    uint8_t code[10];
-    if (!fetch(pc, 1, code)) {
+    uint8_t code[kMaxInsnBytes];
+    // Fast fetch: the widest encoding fits in the last-fetched page, so one
+    // fixed-size copy serves any instruction and, exactly like the byte-wise
+    // path for a same-page fetch, nothing is translated or charged.  A fetch
+    // near the page end or on a new page takes the byte-wise path.
+    const bool in_window = (pc >> kPageBits) == last_fetch_vpn &&
+                           (pc & (kPageSize - 1)) <= kPageSize - kMaxInsnBytes;
+    if (in_window) {
+      std::memcpy(code, ram + last_fetch_page + (pc & (kPageSize - 1)), kMaxInsnBytes);
+    } else if (!fetch(pc, 1, code)) {
       return fault_exit();
     }
-    if (code[0] >= static_cast<uint8_t>(Op::kOpCount)) {
+    const int size = kInsnBytes[code[0]];
+    if (size == 0) {
       fault_ = "invalid opcode " + std::to_string(code[0]) + " at rip " + std::to_string(pc);
       return fault_exit();
     }
-    const Op op = static_cast<Op>(code[0]);
-    const int size = visa::InsnSize(op);
-    if (size > 1 && !fetch(pc + 1, size - 1, code + 1)) {
+    if (!in_window && size > 1 && !fetch(pc + 1, size - 1, code + 1)) {
       return fault_exit();
     }
+    const Op op = static_cast<Op>(code[0]);
     const uint64_t next = pc + static_cast<uint64_t>(size);
     st_.rip = next;
-    ++insns_;
-    cycles_ += cost_.insn;
+    ++tally.insns;
+    tally.cycles += cost_.insn;
 
-    const uint64_t mask = WidthMask();
     auto read_i32 = [&](int at) {
       int32_t v;
       std::memcpy(&v, code + at, 4);
@@ -529,7 +651,8 @@ Exit Cpu::Run(uint64_t max_insns) {
       case Op::kNop:
         break;
       case Op::kHlt: {
-        cycles_ += cost_.hlt_exit;
+        tally.cycles += cost_.hlt_exit;
+        tally.Flush();
         LogEvent(BootEvent::kHlt);
         Exit e;
         e.kind = ExitKind::kHlt;
@@ -566,11 +689,11 @@ Exit Cpu::Run(uint64_t max_insns) {
           case Op::kLd32: bytes = 4; break;
           case Op::kLd32S: bytes = 4; sign = true; break;
           case Op::kLd64: bytes = 8; break;
-          default: bytes = WordSize(); break;
+          default: bytes = word; break;
         }
         const uint64_t va = (st_.regs[rb] + static_cast<uint64_t>(read_i32(2))) & mask;
         uint64_t v = 0;
-        if (!LoadVa(va, bytes, sign, &v)) {
+        if (!load(va, bytes, sign, &v)) {
           return fault_exit();
         }
         st_.regs[ra] = v & mask;
@@ -589,11 +712,11 @@ Exit Cpu::Run(uint64_t max_insns) {
           case Op::kSt16: bytes = 2; break;
           case Op::kSt32: bytes = 4; break;
           case Op::kSt64: bytes = 8; break;
-          default: bytes = WordSize(); break;
+          default: bytes = word; break;
         }
         // Store encoding: a = base register, b = source register.
         const uint64_t va = (st_.regs[ra] + static_cast<uint64_t>(read_i32(2))) & mask;
-        if (!StoreVa(va, bytes, st_.regs[rb])) {
+        if (!store(va, bytes, st_.regs[rb])) {
           return fault_exit();
         }
         break;
@@ -610,7 +733,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         const uint64_t b = op == Op::kAddRr ? st_.regs[rb]
                                             : static_cast<uint64_t>(read_i32(2));
         const uint64_t r = (a + b) & mask;
-        SetFlagsAddSub(a, b, r, /*is_sub=*/false);
+        SetFlagsAddSub(a, b, r, /*is_sub=*/false, mask);
         st_.regs[ra] = r;
         break;
       }
@@ -620,7 +743,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         const uint64_t b = op == Op::kSubRr ? st_.regs[rb]
                                             : static_cast<uint64_t>(read_i32(2));
         const uint64_t r = (a - b) & mask;
-        SetFlagsAddSub(a, b, r, /*is_sub=*/true);
+        SetFlagsAddSub(a, b, r, /*is_sub=*/true, mask);
         st_.regs[ra] = r;
         break;
       }
@@ -629,7 +752,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         const uint64_t b = op == Op::kAndRr ? st_.regs[rb]
                                             : static_cast<uint64_t>(read_i32(2));
         st_.regs[ra] = (st_.regs[ra] & b) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kOrRr:
@@ -637,7 +760,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         const uint64_t b = op == Op::kOrRr ? st_.regs[rb]
                                            : static_cast<uint64_t>(read_i32(2));
         st_.regs[ra] = (st_.regs[ra] | b) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kXorRr:
@@ -645,57 +768,57 @@ Exit Cpu::Run(uint64_t max_insns) {
         const uint64_t b = op == Op::kXorRr ? st_.regs[rb]
                                             : static_cast<uint64_t>(read_i32(2));
         st_.regs[ra] = (st_.regs[ra] ^ b) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kShlRr:
       case Op::kShlRi: {
         const uint64_t c = (op == Op::kShlRr ? st_.regs[rb]
                                              : static_cast<uint64_t>(read_i32(2))) &
-                           static_cast<uint64_t>(WordSize() * 8 - 1);
+                           static_cast<uint64_t>(word * 8 - 1);
         st_.regs[ra] = (st_.regs[ra] << c) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kShrRr:
       case Op::kShrRi: {
         const uint64_t c = (op == Op::kShrRr ? st_.regs[rb]
                                              : static_cast<uint64_t>(read_i32(2))) &
-                           static_cast<uint64_t>(WordSize() * 8 - 1);
+                           static_cast<uint64_t>(word * 8 - 1);
         st_.regs[ra] = ((st_.regs[ra] & mask) >> c) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kSarRr:
       case Op::kSarRi: {
         const uint64_t c = (op == Op::kSarRr ? st_.regs[rb]
                                              : static_cast<uint64_t>(read_i32(2))) &
-                           static_cast<uint64_t>(WordSize() * 8 - 1);
-        const int bits = WordSize() * 8;
+                           static_cast<uint64_t>(word * 8 - 1);
+        const int bits = word * 8;
         int64_t v = static_cast<int64_t>(st_.regs[ra] << (64 - bits)) >> (64 - bits);
         st_.regs[ra] = static_cast<uint64_t>(v >> c) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kMulRr:
-        cycles_ += cost_.mul;
+        tally.cycles += cost_.mul;
         st_.regs[ra] = (st_.regs[ra] * st_.regs[rb]) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       case Op::kImulRr: {
-        cycles_ += cost_.mul;
-        const int bits = WordSize() * 8;
+        tally.cycles += cost_.mul;
+        const int bits = word * 8;
         auto sext = [&](uint64_t v) {
           return static_cast<int64_t>(v << (64 - bits)) >> (64 - bits);
         };
         st_.regs[ra] =
             static_cast<uint64_t>(sext(st_.regs[ra]) * sext(st_.regs[rb])) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kUdivRr:
       case Op::kUmodRr: {
-        cycles_ += cost_.div;
+        tally.cycles += cost_.div;
         const uint64_t b = st_.regs[rb] & mask;
         if (b == 0) {
           fault_ = "division by zero";
@@ -703,13 +826,13 @@ Exit Cpu::Run(uint64_t max_insns) {
         }
         const uint64_t a = st_.regs[ra] & mask;
         st_.regs[ra] = (op == Op::kUdivRr ? a / b : a % b) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kIdivRr:
       case Op::kImodRr: {
-        cycles_ += cost_.div;
-        const int bits = WordSize() * 8;
+        tally.cycles += cost_.div;
+        const int bits = word * 8;
         auto sext = [&](uint64_t v) {
           return static_cast<int64_t>(v << (64 - bits)) >> (64 - bits);
         };
@@ -727,27 +850,27 @@ Exit Cpu::Run(uint64_t max_insns) {
           r = op == Op::kIdivRr ? a / b : a % b;
         }
         st_.regs[ra] = static_cast<uint64_t>(r) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       }
       case Op::kNotR:
         st_.regs[ra] = (~st_.regs[ra]) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       case Op::kNegR:
         st_.regs[ra] = (0 - st_.regs[ra]) & mask;
-        SetFlagsLogic(st_.regs[ra]);
+        SetFlagsLogic(st_.regs[ra], mask);
         break;
       case Op::kCmpRr:
       case Op::kCmpRi: {
         const uint64_t a = st_.regs[ra];
         const uint64_t b = op == Op::kCmpRr ? st_.regs[rb]
                                             : static_cast<uint64_t>(read_i32(2));
-        SetFlagsAddSub(a, b, (a - b) & mask, /*is_sub=*/true);
+        SetFlagsAddSub(a, b, (a - b) & mask, /*is_sub=*/true, mask);
         break;
       }
       case Op::kTestRr:
-        SetFlagsLogic(st_.regs[ra] & st_.regs[rb]);
+        SetFlagsLogic(st_.regs[ra] & st_.regs[rb], mask);
         break;
       case Op::kCset:
         st_.regs[ra] = EvalCond(static_cast<Cond>(rb)) ? 1 : 0;
@@ -756,60 +879,60 @@ Exit Cpu::Run(uint64_t max_insns) {
       // --- Control flow ----------------------------------------------------
       case Op::kJmp:
         st_.rip = next + static_cast<uint64_t>(read_i32(1));
-        cycles_ += cost_.branch_taken;
+        tally.cycles += cost_.branch_taken;
         break;
       case Op::kJcc:
         if (EvalCond(static_cast<Cond>(code[1]))) {
           st_.rip = next + static_cast<uint64_t>(read_i32(2));
-          cycles_ += cost_.branch_taken;
+          tally.cycles += cost_.branch_taken;
         }
         break;
       case Op::kCall: {
-        const int w = WordSize();
+        const int w = word;
         const uint64_t sp = (st_.regs[visa::kSp] - static_cast<uint64_t>(w)) & mask;
-        if (!StoreVa(sp, w, next)) {
+        if (!store(sp, w, next)) {
           return fault_exit();
         }
         st_.regs[visa::kSp] = sp;
         st_.rip = next + static_cast<uint64_t>(read_i32(1));
-        cycles_ += cost_.call_ret;
+        tally.cycles += cost_.call_ret;
         break;
       }
       case Op::kCallR: {
-        const int w = WordSize();
+        const int w = word;
         const uint64_t sp = (st_.regs[visa::kSp] - static_cast<uint64_t>(w)) & mask;
-        if (!StoreVa(sp, w, next)) {
+        if (!store(sp, w, next)) {
           return fault_exit();
         }
         st_.regs[visa::kSp] = sp;
         st_.rip = st_.regs[ra] & mask;
-        cycles_ += cost_.call_ret;
+        tally.cycles += cost_.call_ret;
         break;
       }
       case Op::kRet: {
-        const int w = WordSize();
+        const int w = word;
         uint64_t ret = 0;
-        if (!LoadVa(st_.regs[visa::kSp] & mask, w, false, &ret)) {
+        if (!load(st_.regs[visa::kSp] & mask, w, false, &ret)) {
           return fault_exit();
         }
         st_.regs[visa::kSp] = (st_.regs[visa::kSp] + static_cast<uint64_t>(w)) & mask;
         st_.rip = ret;
-        cycles_ += cost_.call_ret;
+        tally.cycles += cost_.call_ret;
         break;
       }
       case Op::kPush: {
-        const int w = WordSize();
+        const int w = word;
         const uint64_t sp = (st_.regs[visa::kSp] - static_cast<uint64_t>(w)) & mask;
-        if (!StoreVa(sp, w, st_.regs[ra])) {
+        if (!store(sp, w, st_.regs[ra])) {
           return fault_exit();
         }
         st_.regs[visa::kSp] = sp;
         break;
       }
       case Op::kPop: {
-        const int w = WordSize();
+        const int w = word;
         uint64_t v = 0;
-        if (!LoadVa(st_.regs[visa::kSp] & mask, w, false, &v)) {
+        if (!load(st_.regs[visa::kSp] & mask, w, false, &v)) {
           return fault_exit();
         }
         st_.regs[visa::kSp] = (st_.regs[visa::kSp] + static_cast<uint64_t>(w)) & mask;
@@ -823,7 +946,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         uint16_t port;
         std::memcpy(&port, code + 1, 2);
         ++io_exits_;
-        cycles_ += cost_.io_exit;
+        tally.cycles += cost_.io_exit;
         pending_entry_charge_ = true;
         Exit e;
         e.kind = ExitKind::kIo;
@@ -834,16 +957,19 @@ Exit Cpu::Run(uint64_t max_insns) {
       }
 
       case Op::kRdtsc:
+        tally.Flush();
         st_.regs[ra] = cycles_ & mask;
         break;
 
       // --- System ----------------------------------------------------------
       case Op::kLgdt:
+        tally.Flush();
         if (!DoLgdt(st_.regs[ra] & mask)) {
           return fault_exit();
         }
         break;
       case Op::kWrcr:
+        tally.Flush();
         if (!DoWrcr(static_cast<uint8_t>(ra), st_.regs[rb])) {
           return fault_exit();
         }
@@ -865,12 +991,16 @@ Exit Cpu::Run(uint64_t max_insns) {
       case Op::kLjmp: {
         const Mode target = static_cast<Mode>(code[1]);
         const uint64_t dest = next + static_cast<uint64_t>(read_i32(2));
+        tally.Flush();
         if (!DoLjmp(target)) {
           return fault_exit();
         }
         st_.rip = dest;
         // The mode just changed; drop the fetch fast path.
         last_fetch_vpn = ~0ULL;
+        mask = WidthMask();
+        word = WordSize();
+        paging = st_.mode == Mode::kLong64;
         break;
       }
       case Op::kOpCount:

@@ -150,7 +150,9 @@ class Cpu {
   bool TranslateInternal(uint64_t va, uint64_t* pa);
   bool Walk(uint64_t va, uint64_t* pa);
 
-  // Memory helpers; return false and set fault_ on error.
+  // Memory helpers; return false and set fault_ on error.  These are the
+  // reference implementations; Run() serves the common case (a TLB hit on
+  // an access inside one page) inline and falls back to them for the rest.
   bool LoadVa(uint64_t va, int bytes, bool sign, uint64_t* out);
   bool StoreVa(uint64_t va, int bytes, uint64_t value);
 
@@ -161,21 +163,15 @@ class Cpu {
     }
   }
 
-  uint64_t WidthMask() const {
-    switch (st_.mode) {
-      case visa::Mode::kReal16:
-        return 0xFFFFULL;
-      case visa::Mode::kProt32:
-        return 0xFFFFFFFFULL;
-      case visa::Mode::kLong64:
-        return ~0ULL;
-    }
-    return ~0ULL;
-  }
-  int WordSize() const { return visa::WordBytes(st_.mode); }
+  // Per-mode operand width, indexed by visa::Mode.
+  static constexpr uint64_t kWidthMask[] = {0xFFFFULL, 0xFFFFFFFFULL, ~0ULL};
+  static constexpr int kWordBytes[] = {2, 4, 8};
+  uint64_t WidthMask() const { return kWidthMask[static_cast<int>(st_.mode)]; }
+  int WordSize() const { return kWordBytes[static_cast<int>(st_.mode)]; }
 
-  void SetFlagsLogic(uint64_t result);
-  void SetFlagsAddSub(uint64_t a, uint64_t b, uint64_t result, bool is_sub);
+  // Flag updates at the operand width given by `mask` (a WidthMask()).
+  void SetFlagsLogic(uint64_t result, uint64_t mask);
+  void SetFlagsAddSub(uint64_t a, uint64_t b, uint64_t result, bool is_sub, uint64_t mask);
   bool EvalCond(visa::Cond cc) const;
 
   void LogEvent(BootEvent event) { milestones_.push_back({event, cycles_}); }

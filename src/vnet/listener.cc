@@ -252,6 +252,18 @@ void Listener::ConnReadable(Conn* conn) {
 void Listener::ProcessInbuf(Conn* conn) {
   const ConnectionOptions& copts = options_.connection;
   while (!conn->closing) {
+    if (conn->forward_remaining == 0 && copts.max_requests > 0 &&
+        conn->requests >= static_cast<uint64_t>(copts.max_requests)) {
+      // The request cap is reached at a request boundary.  Closing the
+      // forward direction ends the server job the way a client EOF would
+      // (the guest's recv returns 0, the native loop stops) in every serve
+      // mode; bytes pipelined past the cap are dropped unread.
+      conn->closing = true;
+      conn->inbuf.clear();
+      CloseChannelWrite(conn);
+      FlushOut(conn);
+      return;
+    }
     if (conn->forward_remaining > 0) {
       // Stream the current request's bytes (head already validated; body in
       // bounded chunks as it arrives) into the channel.
@@ -295,6 +307,7 @@ void Listener::ProcessInbuf(Conn* conn) {
     // forwarding this request's exact byte count.
     EnsureSubmitted(conn);
     conn->forward_remaining = *need;
+    ++conn->requests;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.requests_forwarded;

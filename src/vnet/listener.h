@@ -18,7 +18,10 @@
 // * The server job serves the whole connection: with keep-alive enabled one
 //   SubmitConnection dispatch (= one acquired, snapshot-affine shell in the
 //   virtine modes) serves every request of the connection until EOF,
-//   "Connection: close", or the max-requests cap.
+//   "Connection: close", or the max-requests cap.  The listener enforces the
+//   cap for every mode: after forwarding the last allowed request it closes
+//   the channel's forward direction, so the job sees EOF at a request
+//   boundary.
 //
 // * Lazy dispatch starves slowloris: a connection occupies no executor lane
 //   until its first complete request has been framed; a half-sent head only
@@ -114,6 +117,8 @@ class Listener {
     // Bytes of the current framed request (head+declared body) still to be
     // forwarded into the channel; body streaming in bounded chunks.
     size_t forward_remaining = 0;
+    // Requests framed so far; forwarding stops at connection.max_requests.
+    uint64_t requests = 0;
     bool submitted = false;   // SubmitConnection has been called
     bool job_done = false;    // the server job's future has resolved
     bool peer_eof = false;    // the client closed its write half

@@ -1,11 +1,24 @@
 // CPU semantics tests: ALU behaviour at every mode width, flags/conditions,
-// memory, stack, control flow, mode-transition legality, paging faults, and
-// cycle accounting invariants.
+// memory, stack, control flow, mode-transition legality, paging faults,
+// cycle accounting invariants, and the cycle-exactness goldens that pin every
+// modeled statistic of the interpreter.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/isa/assembler.h"
 #include "src/vhw/cpu.h"
 #include "src/vhw/mem.h"
+#include "src/vkvm/vkvm.h"
+#include "src/vnet/server.h"
+#include "src/vrt/env.h"
+#include "src/vrt/samples.h"
+#include "src/wasp/abi.h"
+#include "src/wasp/channel.h"
+#include "src/wasp/host_env.h"
+#include "src/wasp/runtime.h"
+#include "src/wasp/vfunc.h"
 
 namespace {
 
@@ -378,6 +391,308 @@ TEST(GuestMemory, BoundsChecked) {
   EXPECT_FALSE(mem.Read((1 << 16) - 1, &b, 2).ok());
   EXPECT_FALSE(mem.Write(1 << 16, &b, 1).ok());
   EXPECT_TRUE(mem.Read((1 << 16) - 1, &b, 1).ok());
+}
+
+// --- Cycle-exactness goldens ---------------------------------------------
+//
+// The interpreter's host-side speed is free to change; what it models is not.
+// Each case below renders every modeled statistic (cycles, instructions
+// retired, I/O exits, boot milestones, fault strings) into one line and
+// compares it with the value the plain byte-wise interpreter produced.  Any
+// fast path that skips a TLB walk, an EPT first-touch or a memory charge the
+// slow path would have taken changes a line here.
+
+std::string ExitName(vhw::ExitKind kind) {
+  switch (kind) {
+    case vhw::ExitKind::kHlt: return "hlt";
+    case vhw::ExitKind::kIo: return "io";
+    case vhw::ExitKind::kBrk: return "brk";
+    case vhw::ExitKind::kFault: return "fault";
+    case vhw::ExitKind::kInsnLimit: return "limit";
+  }
+  return "?";
+}
+
+std::string CpuPrint(const vhw::Cpu& cpu, const vhw::Exit& exit) {
+  std::string out = ExitName(exit.kind) + " cycles=" + std::to_string(cpu.cycles()) +
+                    " insns=" + std::to_string(cpu.insns_retired()) +
+                    " io=" + std::to_string(cpu.io_exits());
+  for (const vhw::BootMilestone& m : cpu.milestones()) {
+    out += std::string(" ") + vhw::BootEventName(m.event) + "@" + std::to_string(m.cycles);
+  }
+  if (exit.kind == vhw::ExitKind::kFault) {
+    out += " fault=" + exit.fault;
+  }
+  return out;
+}
+
+std::string StatsPrint(const wasp::InvokeStats& s) {
+  return "total=" + std::to_string(s.total_cycles) + " guest=" + std::to_string(s.guest_cycles) +
+         " host=" + std::to_string(s.host_cycles) + " insns=" + std::to_string(s.insns) +
+         " io=" + std::to_string(s.io_exits);
+}
+
+// Long mode over 4 KB pages: PML4 (0x1000) -> PDPT (0x2000) -> PD (0x3000)
+// -> PT (0x4000) identity-maps the first 2 MB of a 4 MB guest, so single
+// pages can be unmapped or aliased into the second 2 MB EPT region.
+struct LongModeMachine {
+  vhw::GuestMemory mem{4 << 20};
+  vhw::Cpu cpu{&mem, vhw::CostModel{}};
+
+  LongModeMachine() {
+    Put64(0x1000, 0x2003);
+    Put64(0x2000, 0x3003);
+    Put64(0x3000, 0x4003);
+    for (uint64_t page = 0; page < 512; ++page) {
+      Put64(0x4000 + page * 8, (page << 12) | 3);
+    }
+  }
+  void Put64(uint64_t pa, uint64_t v) { ASSERT_TRUE(mem.Write(pa, &v, 8).ok()); }
+  void Unmap(uint64_t va) { Put64(0x4000 + (va >> 12) * 8, 0); }
+  void Alias(uint64_t va, uint64_t pa) { Put64(0x4000 + (va >> 12) * 8, pa | 3); }
+  // Assembles `source` (which must start with `.org`) into memory.
+  void Load(const std::string& source) {
+    auto image = visa::Assemble(source);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    ASSERT_TRUE(mem.Write(image->load_addr, image->bytes.data(), image->bytes.size()).ok());
+  }
+  void Poke(uint64_t pa, uint8_t byte) { ASSERT_TRUE(mem.Write(pa, &byte, 1).ok()); }
+  // Starts at `entry` with an empty EPT (host writes prefault it), so the
+  // first fetch and the first access to the second region are charged.
+  std::string Run(uint64_t entry) {
+    mem.ResetEpt();
+    cpu.Reset(entry);
+    vhw::ArchState& s = cpu.state();
+    s.mode = visa::Mode::kLong64;
+    s.cr0 = visa::kCr0Pe | visa::kCr0Pg;
+    s.cr4 = visa::kCr4Pae;
+    s.efer = visa::kEferLme | visa::kEferLma;
+    s.cr3 = 0x1000;
+    s.gdt_loaded = true;
+    cpu.set_reg(visa::kSp, 0x7000);
+    return CpuPrint(cpu, cpu.Run(100000));
+  }
+};
+
+TEST(CycleGolden, BootStubToHlt) {
+  // Table 1's workload: the long-mode boot stub running fib(1) to hlt.
+  auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  auto vm = vkvm::Vm::Create(vkvm::VmConfig{});
+  ASSERT_TRUE(vm->LoadBlob(image->load_addr, image->bytes.data(), image->bytes.size()).ok());
+  uint64_t boot_info[2] = {vm->memory().size(), 0};
+  ASSERT_TRUE(vm->memory().Write(wasp::kBootInfoAddr, boot_info, sizeof(boot_info)).ok());
+  uint64_t args[3] = {0, 1, 1};
+  ASSERT_TRUE(vm->memory().Write(wasp::kArgPageAddr, args, sizeof(args)).ok());
+  vm->ResetVcpu(image->entry);
+  vm->cpu().set_reg(visa::kSp, wasp::kRealModeStackTop);
+  auto run = vm->Run();
+  ASSERT_EQ(run.reason, vkvm::ExitReason::kHlt) << run.fault;
+  vhw::Exit exit;
+  exit.kind = vhw::ExitKind::kHlt;
+  EXPECT_EQ(CpuPrint(vm->cpu(), exit) + " host=" + std::to_string(vm->host_cycles()),
+            "hlt cycles=37800 insns=3138 io=0 first_insn@74 lgdt_32bit_gdt@4200 "
+            "protected_transition@7419 jump_to_32bit@7595 long_transition_lgdt@8284 "
+            "efer_lme@13422 paging_identity_map@36430 jump_to_64bit@36621 hlt@37800 "
+            "host=254300");
+}
+
+TEST(CycleGolden, WarmSnapshotFib15) {
+  auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.key = "golden-fib";
+  spec.use_snapshot = true;
+  wasp::VirtineFunc<int64_t(int64_t)> fib(&runtime, spec);
+  auto cold = fib.Call(15);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const std::string cold_print = StatsPrint(fib.last_outcome().stats);
+  auto warm = fib.Call(15);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(*warm, 610);
+  EXPECT_TRUE(fib.last_outcome().stats.restored_snapshot);
+  EXPECT_EQ(cold_print, "total=389718 guest=122681 host=267037 insns=28776 io=1");
+  EXPECT_EQ(StatsPrint(fib.last_outcome().stats),
+            "total=87633 guest=80044 host=7589 insns=25670 io=0");
+}
+
+TEST(CycleGolden, KeepAliveHandlerServesThreeRequests) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  std::string page(512, ' ');
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<char>('a' + i % 26);
+  }
+  files.PutFile("/index.html", page);
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::VirtineSpec spec;
+  spec.image = &server.keepalive_image();
+  spec.key = "golden-keepalive";
+  spec.policy = wasp::kPolicyStream | wasp::kPolicyFileIo | wasp::MaskOf(wasp::kHcSnapshot) |
+                wasp::MaskOf(wasp::kHcReturnData);
+  spec.use_snapshot = true;
+  spec.env = &files;
+  std::vector<std::string> prints;
+  for (int round = 0; round < 2; ++round) {  // cold capture, then warm restore
+    wasp::ByteChannel channel;
+    channel.host().WriteString("GET /index.html HTTP/1.1\r\nHost: golden\r\n\r\n");
+    channel.host().WriteString("GET /missing HTTP/1.1\r\nHost: golden\r\n\r\n");
+    channel.host().WriteString("GET /index.html HTTP/1.1\r\nHost: golden\r\n\r\n");
+    channel.host().CloseWrite();
+    spec.channel = &channel.guest();
+    wasp::RunOutcome outcome = runtime.Invoke(spec);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    const std::vector<uint8_t> reply = channel.host().Drain();
+    prints.push_back(StatsPrint(outcome.stats) + " reply=" + std::to_string(reply.size()));
+  }
+  EXPECT_EQ(prints[0], "total=530664 guest=182993 host=347671 insns=16296 io=19 reply=1149");
+  EXPECT_EQ(prints[1], "total=221045 guest=140356 host=80689 insns=13190 io=18 reply=1149");
+}
+
+TEST(CycleGolden, RealModeInsnStraddlesPage) {
+  auto image = visa::Assemble(
+      ".org 0x8ff8\nstart:\n  mov r1, 5\n  add r1, 7\n  mov r0, 0x1234\n  hlt\n");
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  vhw::GuestMemory mem(1 << 20);
+  ASSERT_TRUE(mem.Write(image->load_addr, image->bytes.data(), image->bytes.size()).ok());
+  mem.ResetEpt();
+  vhw::Cpu cpu(&mem, vhw::CostModel{});
+  cpu.Reset(image->entry);
+  const std::string print = CpuPrint(cpu, cpu.Run(1000));
+  EXPECT_EQ(cpu.reg(0), 0x1234u);
+  EXPECT_EQ(cpu.reg(1), 12u);
+  EXPECT_EQ(print, "hlt cycles=2878 insns=4 io=0 first_insn@74 hlt@2878");
+}
+
+TEST(CycleGolden, LongModeInsnStraddlesPage) {
+  LongModeMachine m;
+  // The last 16 bytes of a code page: a 6-byte add whose 10-byte fetch
+  // window still fits, then three instructions that fit in the page but
+  // whose window does not, then a mov starting exactly on the next page.
+  m.Load(R"(.org 0x10ff0
+start:
+  add r1, 5
+  mov r3, r1
+  add r1, 7
+  add r1, r3
+  mov r0, 0x1122334455667788
+  hlt
+)");
+  // Two nops, then an add-immediate straddling into a page that is mapped
+  // elsewhere: its tail must be fetched through the new page's mapping, not
+  // read on from the physically next bytes (filled with invalid opcodes).
+  m.Load(".org 0x11ffa\nstart:\n  nop\n  nop\n  add r2, 0x99\n  mov r4, 7\n  hlt\n");
+  m.Alias(0x12000, 0x30000);
+  uint8_t tail[16];
+  ASSERT_TRUE(m.mem.Read(0x12000, tail, sizeof(tail)).ok());
+  ASSERT_TRUE(m.mem.Write(0x30000, tail, sizeof(tail)).ok());
+  const std::vector<uint8_t> junk(sizeof(tail), 0xff);
+  ASSERT_TRUE(m.mem.Write(0x12000, junk.data(), junk.size()).ok());
+  const std::string print = m.Run(0x10ff0);
+  EXPECT_EQ(m.cpu.reg(0), 0x1122334455667788u);
+  EXPECT_EQ(m.cpu.reg(1), 17u);
+  EXPECT_EQ(print, "hlt cycles=2928 insns=6 io=0 first_insn@74 hlt@2928");
+  const std::string straddle = m.Run(0x11ffa);
+  EXPECT_EQ(m.cpu.reg(2), 0x99u);
+  EXPECT_EQ(m.cpu.reg(4), 7u);
+  EXPECT_EQ(straddle, "hlt cycles=2927 insns=5 io=0 first_insn@74 hlt@2927");
+}
+
+TEST(CycleGolden, LoadsAndStoresStraddlePages) {
+  LongModeMachine m;
+  m.Load(R"(.org 0x10000
+start:
+  mov r1, 0x12ffc
+  mov r2, 0x0102030405060708
+  st64 [r1+0], r2
+  ld64 r3, [r1+0]
+  ld32 r4, [r1+2]
+  st16 [r1+3], r2
+  ld16s r5, [r1+3]
+  push r2
+  pop r6
+  hlt
+)");
+  const std::string print = m.Run(0x10000);
+  EXPECT_EQ(m.cpu.reg(3), 0x0102030405060708u);
+  EXPECT_EQ(m.cpu.reg(4), 0x03040506u);
+  EXPECT_EQ(m.cpu.reg(6), 0x0102030405060708u);
+  EXPECT_EQ(print, "hlt cycles=3001 insns=10 io=0 first_insn@74 hlt@3001");
+}
+
+TEST(CycleGolden, StraddlingStoreIntoUnmappedPageFaultsMidway) {
+  LongModeMachine m;
+  m.Unmap(0x15000);
+  m.Load(".org 0x10000\nstart:\n  mov r1, 0x14ffc\n  mov r2, -1\n  st64 [r1+0], r2\n  hlt\n");
+  const std::string print = m.Run(0x10000);
+  uint8_t written[4] = {};
+  ASSERT_TRUE(m.mem.Read(0x14ffc, written, 4).ok());
+  EXPECT_EQ(written[3], 0xffu);  // the bytes before the unmapped page landed
+  EXPECT_EQ(print, "fault cycles=1925 insns=3 io=0 first_insn@74 fault=PTE not present");
+}
+
+TEST(CycleGolden, DataAccessEvictsCodePageTlbSlot) {
+  LongModeMachine m;
+  // va 0x110000 shares TLB slot 0x10 with the code page 0x10000, and is
+  // aliased into the second EPT region so its first touch is charged too.
+  m.Alias(0x110000, 0x250000);
+  m.Put64(0x250000, 0xabcdef);
+  m.Load(R"(.org 0x10000
+start:
+  mov r1, 0x110000
+  ld64 r0, [r1+0]
+  mov r3, 0x11000
+  call r3
+  ld64 r4, [r1+0]
+  add r4, r2
+  hlt
+)");
+  m.Load(".org 0x11000\nstart:\n  ld64 r2, [r1+8]\n  st64 [r1+16], r0\n  ret\n");
+  const std::string print = m.Run(0x10000);
+  EXPECT_EQ(m.cpu.reg(0), 0xabcdefu);
+  EXPECT_EQ(print, "hlt cycles=4850 insns=10 io=0 first_insn@74 hlt@4850");
+}
+
+TEST(CycleGolden, InvalidOpcodeInLastByteOfPage) {
+  LongModeMachine m;
+  m.Unmap(0x14000);
+  // Enter through a nop on the same page, so the last byte is fetched as a
+  // same-page continuation.
+  m.Load(".org 0x10000\nstart:\n  mov r3, 0x13ffe\n  call r3\n  hlt\n");
+  m.Poke(0x13ffe, static_cast<uint8_t>(visa::Op::kNop));
+  m.Poke(0x13fff, 0xff);
+  EXPECT_EQ(m.Run(0x10000),
+            "fault cycles=1954 insns=3 io=0 first_insn@74 fault=invalid opcode 255 at rip 81919");
+  // A valid opcode there instead fetches its operands from the unmapped page.
+  m.Poke(0x13fff, static_cast<uint8_t>(visa::Op::kAddRi));
+  EXPECT_EQ(m.Run(0x10000), "fault cycles=1954 insns=3 io=0 first_insn@74 fault=PTE not present");
+}
+
+TEST(CycleGolden, DataAccessFirstTouchesRegionThroughTlbHit) {
+  LongModeMachine m;
+  // A straddling load fills the TLB for both pages but charges the EPT only
+  // for its first byte's region; the next load from the second page hits
+  // the TLB and is the first access to the second region.
+  m.Alias(0x15000, 0x1ff000);
+  m.Alias(0x16000, 0x200000);
+  m.Load(R"(.org 0x10000
+start:
+  mov r1, 0x15ffc
+  ld64 r2, [r1+0]
+  ld64 r3, [r1+8]
+  st8 [r1+9], r2
+  hlt
+)");
+  EXPECT_EQ(m.Run(0x10000), "hlt cycles=4760 insns=5 io=0 first_insn@74 hlt@4760");
+}
+
+TEST(CycleGolden, FetchFromUnmappedPage) {
+  LongModeMachine m;
+  m.Unmap(0x15000);
+  m.Load(".org 0x10000\nstart:\n  mov r3, 0x15000\n  call r3\n  hlt\n");
+  EXPECT_EQ(m.Run(0x10000), "fault cycles=1929 insns=2 io=0 first_insn@74 fault=PTE not present");
 }
 
 }  // namespace

@@ -165,6 +165,42 @@ TEST_P(ListenerModeTest, KeepAliveReusesOneConnectionForManyRequests) {
   EXPECT_EQ(stack.listener->stats().requests_forwarded, 5u);
 }
 
+TEST_P(ListenerModeTest, RequestCapAnswersExactlyMaxRequestsThenCloses) {
+  // A client pipelining max_requests + 2 requests gets exactly max_requests
+  // 200s and then a close, in every mode: the listener stops forwarding at
+  // the cap and closes the channel's forward direction, so a virtine guest
+  // sees EOF at a request boundary just as the native loop stops on its own.
+  constexpr int kCap = 3;
+  vnet::ListenerOptions lopts;
+  lopts.connection.max_requests = kCap;
+  Stack stack(GetParam(), {}, lopts);
+  const int fd = ConnectTo(stack.listener->port());
+  ASSERT_GE(fd, 0);
+  std::string burst;
+  for (int i = 0; i < kCap + 2; ++i) {
+    burst += "GET /static.html HTTP/1.1\r\nHost: t\r\n\r\n";
+  }
+  ASSERT_TRUE(SendAll(fd, burst));
+  std::string stream;
+  for (int i = 0; i < kCap; ++i) {
+    EXPECT_EQ(ReadResponse(fd, &stream), 200) << "request " << i;
+  }
+  EXPECT_EQ(ReadResponse(fd, &stream), -1);  // closed instead of a 4th answer
+  EXPECT_TRUE(stream.empty());
+  ::close(fd);
+  // Stop() joins the event loop, so the close is fully accounted.
+  stack.listener->Stop();
+  const auto counters = stack.server->counters(GetParam());
+  EXPECT_EQ(counters.accepted, 1u);
+  EXPECT_EQ(counters.errors, 0u);
+  EXPECT_EQ(counters.requests, static_cast<uint64_t>(kCap));
+  EXPECT_EQ(counters.status_2xx, static_cast<uint64_t>(kCap));
+  const vnet::ListenerStats stats = stack.listener->stats();
+  EXPECT_EQ(stats.requests_forwarded, static_cast<uint64_t>(kCap));
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.closed, 1u);
+}
+
 TEST_P(ListenerModeTest, OversizedHeadIsRejectedAtTheEdgeWith413) {
   Stack stack(GetParam());
   const int fd = ConnectTo(stack.listener->port());
