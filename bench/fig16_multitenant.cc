@@ -31,7 +31,7 @@
 //    generation), and RetireSnapshot drains everything back to zero.
 //
 // 3. Tiered quotas.  Three tenants (premium / standard / free) flood
-//    identically at ~2.4x aggregate capacity; GovernanceOptions::
+//    identically at ~2.4x aggregate capacity; ExecutorOptions::
 //    key_quota_overrides gives each tier its own admission cap (standard
 //    deliberately rides the key_quota fallback, exercising override
 //    resolution).  Claim: admission is monotone in tier — premium completes
@@ -166,19 +166,19 @@ int RunGovernancePhase(bool quick) {
               static_cast<double>(trace->wall_ns) / 1e9, kMeasureLanes);
 
   // Three disciplines over identical measured services.
-  vnet::GovernanceOptions isolation;
-  isolation.lanes = kLanes;
+  wasp::ExecutorOptions isolation;
+  isolation.workers = kLanes;
   isolation.batch_weight = 0;
   const vnet::GovernedReplay baseline =
       vnet::GovernTrace(FilterTenant(*trace, 0), isolation);
 
-  vnet::GovernanceOptions ungoverned;
-  ungoverned.lanes = kLanes;
+  wasp::ExecutorOptions ungoverned;
+  ungoverned.workers = kLanes;
   ungoverned.batch_weight = 0;  // FIFO, no quota
   const vnet::GovernedReplay flood = vnet::GovernTrace(*trace, ungoverned);
 
-  vnet::GovernanceOptions governed;
-  governed.lanes = kLanes;
+  wasp::ExecutorOptions governed;
+  governed.workers = kLanes;
   governed.key_quota = KeyQuotaFor(cap);
   governed.batch_weight = kBatchWeight;
   const vnet::GovernedReplay fair = vnet::GovernTrace(*trace, governed);
@@ -253,8 +253,8 @@ int RunTieredQuotaPhase(bool quick) {
               trace->arrivals_us.size(), kMeasureLanes,
               static_cast<double>(trace->wall_ns) / 1e9);
 
-  vnet::GovernanceOptions tiered;
-  tiered.lanes = kLanes;
+  wasp::ExecutorOptions tiered;
+  tiered.workers = kLanes;
   // The tier table: premium and free are explicit overrides; standard is
   // deliberately *absent* so it resolves through the key_quota default —
   // both halves of QuotaFor are load-bearing in the gate below.

@@ -288,8 +288,8 @@ vnet::GovernedReplay MeasureStorm(const wasp::FaultPlan& plan, bool quick,
   auto trace = vespid.MeasureMultiTenant(tenants, /*concurrency=*/8, /*seed=*/42);
   VB_CHECK(trace.ok(), trace.status().ToString());
 
-  vnet::GovernanceOptions governed;
-  governed.lanes = 2;
+  wasp::ExecutorOptions governed;
+  governed.workers = 2;
   governed.batch_weight = 0;
   const vnet::GovernedReplay replay = vnet::GovernTrace(*trace, governed);
   if (out_trace != nullptr) {
@@ -703,8 +703,8 @@ int RunRecoveryPhase(bool quick, const vnet::MeasuredTrace& control_trace,
 
   // The phase-2 measured traces replayed under the breaker discipline: only
   // the stormed victim sheds, and the co-tenant's p99 holds the 2x gate.
-  vnet::GovernanceOptions governed;
-  governed.lanes = 2;
+  wasp::ExecutorOptions governed;
+  governed.workers = 2;
   governed.batch_weight = 0;
   governed.recovery.breaker_enabled = true;
   governed.recovery.breaker_open_threshold = 0.2;

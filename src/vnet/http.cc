@@ -186,14 +186,6 @@ vbase::Result<size_t> RequestBytesNeeded(const std::string& data) {
   return head_end + 4 + want;
 }
 
-vbase::Result<HttpRequest> ParseRequest(const std::string& data) {
-  auto framed = FrameRequest(data);
-  if (!framed.ok()) {
-    return framed.status();
-  }
-  return std::move(framed->request);
-}
-
 bool WantKeepAlive(const HttpRequest& request) {
   // Tokenize the Connection header as a comma list; an explicit token wins
   // over the version default in both directions.

@@ -1,7 +1,7 @@
 // Minimal HTTP/1.x request parsing and response building (the substrate for
 // the paper's echo server, static-file server, and serverless front end).
 //
-// Keep-alive streams: FrameRequest is the incremental entry point — it
+// Keep-alive streams: FrameRequest is the one request parser — it
 // consumes exactly one request from the front of a byte stream and reports
 // how many bytes it ate, so pipelined/back-to-back requests on one
 // connection split at the correct header+body boundaries instead of being
@@ -47,11 +47,6 @@ struct FramedRequest {
 // accumulate and retry — and kInvalidArgument for malformed or
 // smuggling-shaped input (the connection should answer 400 and close).
 vbase::Result<FramedRequest> FrameRequest(const std::string& data);
-
-// Parses a complete request (head + optional Content-Length body) from a
-// byte buffer, ignoring any trailing bytes (FrameRequest without the
-// consumed-byte accounting — the one-shot legacy entry point).
-vbase::Result<HttpRequest> ParseRequest(const std::string& data);
 
 // Total byte length (head + declared body) of the first request in `data`,
 // available as soon as the head is complete — lets a front end enforce its

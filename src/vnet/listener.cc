@@ -104,6 +104,12 @@ void Listener::Stop() {
     }
     ::close(fd);
   }
+  {
+    // Connections still open at Stop() are closed here, not by CloseConn:
+    // count them so the ledger keeps accepted == closed.
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.closed += conns_.size();
+  }
   conns_.clear();
   for (auto& conn : zombies_) {
     if (!conn->job_done) {

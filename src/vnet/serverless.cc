@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "src/base/clock.h"
+#include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/vcc/vcc.h"
 #include "src/vjs/vjs.h"
@@ -330,13 +331,11 @@ vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<Tenant
   return trace;
 }
 
-GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& options) {
-  const int lanes = std::max(options.lanes, 1);
-  // Same floor as the executor: weight 1 would pick batch on every
-  // contended dequeue (priority inversion), so positive weights start at
-  // alternation.
-  const int batch_weight =
-      options.batch_weight > 0 ? std::max(options.batch_weight, 2) : options.batch_weight;
+GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptions& options) {
+  VB_CHECK(options.max_queue_depth == 0 || !options.block_when_full,
+           "GovernTrace replays the reject policy only: a bounded queue needs "
+           "block_when_full = false");
+  const int lanes = std::max(options.workers, 1);
   const size_t n = trace.arrivals_us.size();
   GovernedReplay replay;
   replay.tenants.resize(trace.names.size());
@@ -344,94 +343,37 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
     replay.tenants[t].name = trace.names[t];
   }
 
-  // Virtual-time replica of the executor's admission and dequeue policy:
-  // at each arrival, quota then global bound decide admission; lanes drain
-  // the two class queues with the same weighted (or FIFO) pick rule the
-  // workers use.  Everything is integer/double arithmetic over the measured
-  // services, so a given trace always governs identically.
+  // Virtual-time run of the executor's policy: at each arrival the shared
+  // AdmissionPolicy admits (breaker, then quota) and the global bound
+  // sheds; lanes drain the two class queues with the policy's class pick;
+  // each completion feeds the policy's load and breaker.  Everything is
+  // arithmetic over the measured services, so a trace governs identically
+  // every time.
+  wasp::AdmissionPolicy policy(options);
   std::vector<double> lane_free(static_cast<size_t>(lanes), 0.0);
   std::deque<size_t> queues[2];  // by KeyClass, request indices in arrival order
-  std::vector<size_t> tenant_load(trace.names.size(), 0);  // queued + running
-  // Tier-resolved effective quota per tenant (0 = unlimited), fixed for the
-  // whole replay.
-  std::vector<size_t> tenant_quota(trace.names.size(), 0);
-  for (size_t t = 0; t < trace.names.size(); ++t) {
-    tenant_quota[t] = options.QuotaFor(trace.names[t]);
-  }
-  // (done_us, tenant, faulted, probe) — faulted/probe ride along so the
-  // recovery discipline can feed the breaker at each virtual completion.
+  // (done_us, tenant, faulted, probe) — faulted/probe ride along so each
+  // virtual completion can feed the breaker.
   using Completion = std::tuple<double, size_t, bool, bool>;
   std::priority_queue<Completion, std::vector<Completion>, std::greater<Completion>>
       completions;
-  int batch_credit = 0;
 
   std::vector<double> start_us(n, -1.0);  // -1 = shed
   std::vector<double> done_us(n, -1.0);
-
-  // Per-tenant virtual breaker: the executor's exact state machine (EWMA at
-  // completion, count-based cooldown, single half-open probe) evaluated over
-  // virtual completion events instead of worker-thread ones.
-  const wasp::RecoveryOptions& ro = options.recovery;
-  struct VBreaker {
-    double ewma = 0.0;
-    uint64_t samples = 0;
-    wasp::BreakerState state = wasp::BreakerState::kClosed;
-    uint64_t sheds = 0;
-    bool probe_in_flight = false;
-  };
-  std::vector<VBreaker> breakers(trace.names.size());
   std::vector<char> is_probe(n, 0);
-  auto record_attempt = [&](size_t t, bool faulted, bool probe) {
-    VBreaker& b = breakers[t];
-    b.ewma = ro.breaker_alpha * (faulted ? 1.0 : 0.0) + (1.0 - ro.breaker_alpha) * b.ewma;
-    ++b.samples;
-    if (!ro.breaker_enabled) {
-      return;
-    }
-    if (probe) {
-      b.probe_in_flight = false;
-      if (faulted) {
-        b.state = wasp::BreakerState::kOpen;
-        b.sheds = 0;
-        ++replay.tenants[t].breaker_opens;
-      } else {
-        b.state = wasp::BreakerState::kClosed;
-        b.ewma = 0.0;  // clean slate, as in the executor
-      }
-      return;
-    }
-    if (b.state == wasp::BreakerState::kClosed && b.samples >= ro.breaker_min_samples &&
-        b.ewma >= ro.breaker_open_threshold) {
-      b.state = wasp::BreakerState::kOpen;
-      b.sheds = 0;
-      ++replay.tenants[t].breaker_opens;
-    }
-  };
 
   auto advance_completions = [&](double now) {
     while (!completions.empty() && std::get<0>(completions.top()) <= now) {
       const auto [done, t, faulted, probe] = completions.top();
-      (void)done;
-      --tenant_load[t];
-      record_attempt(t, faulted, probe);
       completions.pop();
+      policy.OnFinish(trace.names[t]);
+      if (policy.RecordAttempt(trace.names[t], faulted, probe)) {
+        ++replay.tenants[t].breaker_opens;
+      }
     }
   };
-  auto pick_class = [&]() -> size_t {
-    const bool have_latency = !queues[0].empty();
-    const bool have_batch = !queues[1].empty();
-    if (have_latency && have_batch) {
-      if (batch_weight <= 0) {
-        return queues[0].front() < queues[1].front() ? 0 : 1;  // FIFO by arrival
-      }
-      if (batch_credit >= batch_weight - 1) {
-        batch_credit = 0;
-        return 1;
-      }
-      ++batch_credit;
-      return 0;
-    }
-    return have_latency ? 0 : 1;
+  auto head = [](const std::deque<size_t>& q) {
+    return q.empty() ? wasp::AdmissionPolicy::kNoHead : q.front();
   };
   // Dispatches queued requests onto lanes that free up strictly before
   // `horizon` (infinity for the final drain).
@@ -442,7 +384,7 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
       if (lane_free[lane] >= horizon) {
         break;
       }
-      const size_t cls = pick_class();
+      const size_t cls = policy.PickClass(head(queues[0]), head(queues[1]));
       const size_t idx = queues[cls].front();
       queues[cls].pop_front();
       const double start = std::max(lane_free[lane], trace.arrivals_us[idx]);
@@ -462,60 +404,25 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
     advance_completions(now);
     TenantOutcome& tenant = replay.tenants[t];
     ++tenant.offered;
-    // Breaker first (mirrors Executor::Enqueue): an open breaker is the
-    // cheapest shed, checked before any queue or quota math.
-    if (ro.breaker_enabled) {
-      VBreaker& b = breakers[t];
-      bool admit = true;
-      bool probe = false;
-      if (b.state == wasp::BreakerState::kOpen) {
-        if (b.sheds >= ro.breaker_open_sheds) {
-          b.state = wasp::BreakerState::kHalfOpen;
-          b.probe_in_flight = true;
-          probe = true;
-        } else {
-          ++b.sheds;
-          admit = false;
-        }
-      } else if (b.state == wasp::BreakerState::kHalfOpen) {
-        if (b.probe_in_flight) {
-          admit = false;
-        } else {
-          b.probe_in_flight = true;
-          probe = true;
-        }
-      }
-      if (!admit) {
-        ++tenant.shed_breaker;
-        continue;
-      }
-      if (probe) {
-        is_probe[i] = 1;
-      }
+    bool probe = false;
+    const wasp::Admission admission = policy.Admit(trace.names[t], &probe);
+    if (admission == wasp::Admission::kCircuitOpen) {
+      ++tenant.shed_breaker;
+      continue;
     }
-    // A probe shed by a later admission stage hands back its reservation, or
-    // the breaker would wait forever on a probe that never ran.
-    auto release_probe = [&] {
-      if (is_probe[i] != 0) {
-        breakers[t].probe_in_flight = false;
-        is_probe[i] = 0;
-      }
-    };
-    // Quota next: the per-key signal beats the global one so a hot key is
-    // told to back off, not that the server is full.
-    if (tenant_quota[t] > 0 && tenant_load[t] >= tenant_quota[t]) {
+    if (admission == wasp::Admission::kQuotaExceeded) {
       ++tenant.shed_quota;
-      release_probe();
       continue;
     }
     if (options.max_queue_depth > 0 &&
         queues[0].size() + queues[1].size() >= options.max_queue_depth) {
       ++tenant.shed_overload;
-      release_probe();
+      policy.Withdraw(trace.names[t], probe);
       continue;
     }
+    is_probe[i] = probe ? 1 : 0;
     queues[static_cast<size_t>(trace.classes[t])].push_back(i);
-    ++tenant_load[t];
+    policy.OnEnqueue(trace.names[t]);
   }
   dispatch_until(std::numeric_limits<double>::infinity());
 

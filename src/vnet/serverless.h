@@ -21,7 +21,6 @@
 #define SRC_VNET_SERVERLESS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -100,37 +99,6 @@ struct MeasuredTrace {
   uint64_t wall_ns = 0;                    // real elapsed time of the measuring run
 };
 
-// The admission/dequeue discipline GovernTrace applies — the executor's
-// policy knobs, evaluated in virtual time so results are deterministic.
-struct GovernanceOptions {
-  int lanes = 2;               // virtual serving lanes
-  size_t max_queue_depth = 0;  // global queued bound; 0 = unbounded
-  size_t key_quota = 0;        // per-tenant queued+running cap; 0 = unlimited
-  // Weighted class dequeue (one batch per `batch_weight` dequeues under
-  // contention); <= 0 = no classes, strict FIFO (the ungoverned baseline).
-  int batch_weight = 4;
-  // Tiered quotas: per-tenant (by TenantSpec name) overrides of key_quota,
-  // mirroring ExecutorOptions::key_quota_overrides.  A listed tenant uses
-  // its override (0 = explicitly unlimited); unlisted tenants fall back to
-  // key_quota.  Three entries (premium/standard/free) make the three-tier
-  // discipline fig16 sweeps.
-  std::map<std::string, size_t> key_quota_overrides = {};
-
-  // Effective quota for `tenant` (0 = unlimited) after override resolution.
-  size_t QuotaFor(const std::string& tenant) const {
-    auto it = key_quota_overrides.find(tenant);
-    return it != key_quota_overrides.end() ? it->second : key_quota;
-  }
-
-  // The recovery discipline: a per-tenant circuit breaker evaluated in
-  // virtual time with the executor's exact state machine (EWMA over attempt
-  // outcomes at completion events, count-based open -> half-open cooldown,
-  // single probe).  Retry is deliberately *not* modeled here — it changes
-  // the measured services, so it belongs to the measuring run; the replay
-  // isolates what shedding alone does to the co-tenants.
-  wasp::RecoveryOptions recovery = {};
-};
-
 // Per-tenant outcome of a governed replay.
 struct TenantOutcome {
   std::string name;
@@ -159,11 +127,20 @@ struct GovernedReplay {
   double makespan_s = 0;     // first arrival to last completion
 };
 
-// Applies `options` to the measured trace in virtual time: per-key quota
-// and global bound at each arrival, weighted (or FIFO) dequeue onto
-// `lanes` serving lanes, measured service per admitted request.
-// Deterministic for a given trace.
-GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& options);
+// Replays the measured trace under the executor's admission discipline in
+// virtual time, deterministically for a given trace.  Each tenant name is
+// an executor key, and one wasp::AdmissionPolicy built from `options` makes
+// the key decisions the live executor makes: breaker, then quota, at each
+// arrival; load, fault-rate EWMA and breaker at each completion; the
+// weighted (or FIFO) class pick at each dequeue onto `options.workers`
+// serving lanes.  The global bound (max_queue_depth) sheds as overload.
+// Only the open-loop reject policy is replayed: a bounded queue with
+// block_when_full set is a checked error.  Retry is not replayed either —
+// it changes the measured services, so it belongs to the measuring run.
+// Lanes dequeue FIFO within a class.  That is exactly a one-worker
+// executor's order (a single worker skips the keyed affinity scan); with
+// more lanes the scan is not modeled.
+GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptions& options);
 
 // --- Vespid: virtine-backed function platform -------------------------------
 

@@ -45,6 +45,10 @@
 //     the classes entirely (strict cross-class FIFO by submission order):
 //     the ungoverned baseline the governance benchmarks compare against.
 //
+// The key-scoped decisions (breaker, quota, load, class pick) are one
+// wasp::AdmissionPolicy (admission.h), which vnet::GovernTrace also runs to
+// replay a trace in virtual time.
+//
 // Fault recovery rides the same key ledger.  Every completed attempt feeds a
 // per-key fault-rate EWMA; a recoverable fault (kWorkerDeath /
 // kPoisonedSnapshot — the guest never observably ran) on a key declared
@@ -81,28 +85,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/wasp/admission.h"
 #include "src/wasp/runtime.h"
 
 namespace wasp {
 
-// Scheduling class of a submitted job.  Latency-sensitive jobs are dequeued
-// preferentially; batch jobs fill the remaining capacity (weighted so they
-// cannot be starved either).
-enum class KeyClass {
-  kLatency = 0,  // interactive / latency-sensitive (the default)
-  kBatch = 1,    // throughput-oriented background work
-};
-
-// Why an admission-checked submission was (or was not) accepted.
-enum class Admission {
-  kAccepted,       // enqueued; the future resolves with the job's outcome
-  kQueueFull,      // global max_queue_depth reached under the reject policy
-  kQuotaExceeded,  // the job's key is at its per-key quota
-  kCircuitOpen,    // the job's key's circuit breaker is open (fast shed)
-  kStopped,        // the submission raced executor shutdown
-};
-
 // Bounded-admission knobs (the backpressure half of the scale-out engine).
+// The same struct configures vnet::GovernTrace's virtual-time replay of this
+// policy, with `workers` as its serving lanes.
 struct ExecutorOptions {
   int workers = 2;
   // Maximum queued (not yet running) jobs; 0 = unbounded.
@@ -162,16 +152,6 @@ struct ExecutorStats {
   uint64_t dequeued_batch = 0;    // jobs dequeued from the batch class
   uint64_t queued = 0;            // gauge: jobs waiting right now
   uint64_t in_flight = 0;         // gauge: jobs running right now
-};
-
-// Point-in-time recovery view of one key: its fault-rate EWMA (over
-// attempts, including retry attempts) and its breaker position.  A key the
-// executor has never completed an attempt for reads as all-zero / closed.
-struct KeyRecoverySnapshot {
-  double fault_rate = 0.0;                     // EWMA over attempts
-  uint64_t samples = 0;                        // attempts observed
-  BreakerState state = BreakerState::kClosed;  // breaker position
-  uint64_t opens = 0;                          // times this key's breaker opened
 };
 
 class Executor {
@@ -234,9 +214,9 @@ class Executor {
   ExecutorStats stats() const;
   // Jobs in the system (queued + in flight) under `key` right now.
   size_t KeyLoad(const std::string& key) const;
-  // Recovery view of `key`: fault-rate EWMA and breaker position.  Unlike
-  // key_load_, recovery state persists after the key's jobs drain — a storm's
-  // evidence must outlive the storm.
+  // Recovery view of `key`: fault-rate EWMA and breaker position.  It
+  // persists after the key's jobs drain — a storm's evidence must outlive
+  // the storm.
   KeyRecoverySnapshot KeyRecoveryState(const std::string& key) const;
   // Convenience: KeyRecoveryState(key).fault_rate.
   double KeyFaultRate(const std::string& key) const;
@@ -263,17 +243,6 @@ class Executor {
     std::promise<RunOutcome> promise;
   };
 
-  // Per-key recovery ledger entry (mu_ held).  Entries persist at zero load —
-  // the fault-rate EWMA and breaker position are evidence, not a gauge.
-  struct KeyRecovery {
-    double ewma = 0.0;       // fault-rate EWMA over attempts
-    uint64_t samples = 0;    // attempts observed
-    BreakerState state = BreakerState::kClosed;
-    uint64_t opens = 0;      // transitions into kOpen
-    uint64_t sheds = 0;      // requests shed since the breaker last opened
-    bool probe_in_flight = false;  // a half-open probe is queued or running
-  };
-
   // Shared enqueue path.  `may_reject` selects TrySubmit semantics (honor
   // the breaker, the quota, and the configured full-queue policy) over
   // Submit semantics (always block for space, no breaker, no quota).
@@ -281,17 +250,6 @@ class Executor {
   // Runs a job's work — the stored task, or an invocation of its spec — and
   // applies the retry-once policy for recoverable faults on idempotent keys.
   RunOutcome RunJob(Job& job);
-  // Breaker admission for `key` (mu_ held).  Returns false to shed; on an
-  // admit, sets *probe when this request is the key's half-open probe.
-  bool BreakerAdmitLocked(const std::string& key, bool* probe);
-  // Feeds one attempt outcome into `key`'s fault-rate EWMA and drives the
-  // breaker state machine (mu_ held).  `probe` marks the resolution of a
-  // half-open probe: clean closes the breaker (EWMA reset — re-tripping
-  // requires fresh evidence), faulted re-opens it.
-  void RecordAttemptLocked(const std::string& key, bool faulted, bool probe);
-  // Picks the class queue the next dequeue should serve (mu_ held; at least
-  // one queue non-empty).
-  size_t PickClass();
   void WorkerLoop(uint32_t worker_index);
 
   size_t TotalQueuedLocked() const { return queues_[0].size() + queues_[1].size(); }
@@ -303,13 +261,9 @@ class Executor {
   std::condition_variable cv_space_;  // queue slot freed
   std::deque<Job> queues_[2];         // indexed by KeyClass
   uint64_t next_seq_ = 0;
-  int batch_credit_ = 0;  // latency dequeues since the last forced batch pick
   size_t in_flight_ = 0;
-  // Per-key jobs in the system (queued + in flight); entries erased at zero
-  // so the map tracks only live keys.
-  std::map<std::string, size_t> key_load_;
-  // Per-key fault-rate EWMA + breaker state; entries persist (see KeyRecovery).
-  std::map<std::string, KeyRecovery> recovery_;
+  // Per-key load, quota, breaker and class-pick state (mu_ held).
+  AdmissionPolicy policy_;
   ExecutorStats stats_;
   bool stop_ = false;
   std::vector<std::thread> workers_;

@@ -485,8 +485,8 @@ vnet::MeasuredTrace TwoTenantTrace() {
 TEST(GovernTraceFaults, FaultedArrivalsAreCasualtiesNotCompletions) {
   vnet::MeasuredTrace trace = TwoTenantTrace();
   trace.faulted = {true, false, false, false};
-  vnet::GovernanceOptions options;
-  options.lanes = 1;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
   options.batch_weight = 0;
   const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
   ASSERT_EQ(replay.tenants.size(), 2u);
@@ -502,8 +502,8 @@ TEST(GovernTraceFaults, FaultedArrivalsAreCasualtiesNotCompletions) {
 
 TEST(GovernTraceFaults, EmptyFaultedVectorMeansAllClean) {
   const vnet::MeasuredTrace trace = TwoTenantTrace();
-  vnet::GovernanceOptions options;
-  options.lanes = 1;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
   options.batch_weight = 0;
   const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
   ASSERT_EQ(replay.tenants.size(), 2u);

@@ -3,14 +3,22 @@
 // cleaner crew), eager generation retirement (RetireGeneration /
 // Runtime::RetireSnapshot), the deterministic governed-replay scheduler
 // (GovernTrace: per-key quotas, weighted class dequeue, shed
-// classification, fairness), and the wall-clock-paced replay mode.  The
+// classification, fairness), a differential check that GovernTrace and a
+// live one-worker Executor admit identically (both run the one
+// wasp::AdmissionPolicy), and the wall-clock-paced replay mode.  The
 // pool and Vespid tests run real shells/invocations; run under TSan
 // (TSAN=1 ./ci.sh) to check the synchronization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/vjs/vjs.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
@@ -223,15 +231,15 @@ vnet::MeasuredTrace SyntheticHotBatchTrace() {
 TEST(GovernTrace, QuotaAndPriorityBoundInteractiveQueueWait) {
   const vnet::MeasuredTrace trace = SyntheticHotBatchTrace();
 
-  vnet::GovernanceOptions ungoverned;
-  ungoverned.lanes = 1;
+  wasp::ExecutorOptions ungoverned;
+  ungoverned.workers = 1;
   ungoverned.batch_weight = 0;  // FIFO, no quota: the undifferentiated flood
   const vnet::GovernedReplay flood = vnet::GovernTrace(trace, ungoverned);
 
   // Quota sized to the interactive tenant's own worst-case backlog (~3: two
   // queued behind a 5 ms batch head-of-line service plus one running), so
   // only the flood sheds.
-  vnet::GovernanceOptions governed = ungoverned;
+  wasp::ExecutorOptions governed = ungoverned;
   governed.key_quota = 4;
   governed.batch_weight = 4;
   const vnet::GovernedReplay fair = vnet::GovernTrace(trace, governed);
@@ -274,9 +282,10 @@ TEST(GovernTrace, QuotaAndPriorityBoundInteractiveQueueWait) {
 
 TEST(GovernTrace, GlobalBoundShedsAsOverloadNotQuota) {
   const vnet::MeasuredTrace trace = SyntheticHotBatchTrace();
-  vnet::GovernanceOptions options;
-  options.lanes = 1;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
   options.max_queue_depth = 4;
+  options.block_when_full = false;
   options.batch_weight = 0;  // bound only: classification must say overload
   const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
   uint64_t overload = 0;
@@ -287,6 +296,15 @@ TEST(GovernTrace, GlobalBoundShedsAsOverloadNotQuota) {
   }
   EXPECT_GT(overload, 0u);
   EXPECT_EQ(quota, 0u);
+}
+
+// The replay models only the open-loop reject policy; a bounded queue that
+// asks to block would silently change the result, so it is refused.
+TEST(GovernTraceDeathTest, BoundedQueueMustUseTheRejectPolicy) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  wasp::ExecutorOptions options;
+  options.max_queue_depth = 4;  // block_when_full keeps its default (true)
+  EXPECT_DEATH(vnet::GovernTrace(SyntheticHotBatchTrace(), options), "reject policy");
 }
 
 // Tiered overrides: three tenants offering the *identical* flood, separated
@@ -303,8 +321,8 @@ TEST(GovernTrace, KeyQuotaOverridesResolveTiersOverOneFlood) {
     trace.service_us.push_back(5000.0);
     trace.cold.push_back(false);
   }
-  vnet::GovernanceOptions tiered;
-  tiered.lanes = 1;
+  wasp::ExecutorOptions tiered;
+  tiered.workers = 1;
   tiered.key_quota = 4;  // the standard tier rides the fallback
   tiered.key_quota_overrides = {{"premium", 8}, {"free", 1}};
   EXPECT_EQ(tiered.QuotaFor("premium"), 8u);
@@ -327,6 +345,357 @@ TEST(GovernTrace, KeyQuotaOverridesResolveTiersOverOneFlood) {
   // Differentiated admission shows up in the fairness index (< 1 by design).
   EXPECT_LT(replay.fairness_index, 1.0);
   EXPECT_GT(replay.fairness_index, 0.0);
+}
+
+// --- Differential: the live executor vs the GovernTrace replay ---------------
+//
+// One arrival sequence goes through GovernTrace on one virtual lane and
+// through a real one-worker Executor.  Each executor task blocks until the
+// harness releases it, and the harness releases completions in the order
+// the sequence's virtual timeline puts them before each arrival, so both
+// sides see the same admission, enqueue, completion and dequeue events.
+// Both run the one wasp::AdmissionPolicy; per-key admission counts and
+// breaker opens must agree exactly.
+
+struct DiffArrival {
+  double at_us;
+  double service_us;
+  int key;
+  bool faulted;
+};
+
+struct DiffCase {
+  std::vector<std::string> names;
+  std::vector<wasp::KeyClass> classes;
+  std::vector<DiffArrival> arrivals;  // ascending at_us, distinct times
+  wasp::ExecutorOptions options;
+};
+
+// Per-key admission tallies, in DiffCase::names order.
+struct DiffCounts {
+  std::vector<uint64_t> accepted, quota, breaker, overload, opens;
+
+  explicit DiffCounts(size_t keys)
+      : accepted(keys), quota(keys), breaker(keys), overload(keys), opens(keys) {}
+};
+
+// A seeded mix of 3-4 keys over both classes, with quota (default and
+// overrides), the global bound, the breaker and the class weighting each
+// switched on or off per seed.  Times are continuous random doubles, so no
+// completion coincides with an arrival.
+DiffCase MakeDiffCase(uint64_t seed) {
+  vbase::Rng rng(seed);
+  DiffCase c;
+  const size_t keys = 3 + rng.Below(2);
+  std::vector<double> fault_rate;
+  for (size_t k = 0; k < keys; ++k) {
+    c.names.push_back("key" + std::to_string(k));
+    c.classes.push_back(rng.Below(2) == 0 ? wasp::KeyClass::kLatency : wasp::KeyClass::kBatch);
+    static constexpr double kRates[] = {0.0, 0.2, 0.6, 0.95};
+    fault_rate.push_back(kRates[rng.Below(4)]);
+  }
+  wasp::ExecutorOptions& o = c.options;
+  o.workers = 1;
+  o.block_when_full = false;
+  o.max_queue_depth = rng.Below(3) == 0 ? 0 : 1 + rng.Below(4);
+  o.key_quota = rng.Below(3) == 0 ? 0 : 1 + rng.Below(3);
+  if (rng.Below(2) == 0) {
+    o.key_quota_overrides[c.names[rng.Below(keys)]] = rng.Below(4);
+  }
+  static constexpr int kWeights[] = {0, 1, 2, 4};
+  o.batch_weight = kWeights[rng.Below(4)];
+  o.recovery.breaker_enabled = rng.Below(4) != 0;
+  o.recovery.breaker_alpha = 0.5;
+  o.recovery.breaker_open_threshold = 0.45;
+  o.recovery.breaker_min_samples = 1 + rng.Below(3);
+  o.recovery.breaker_open_sheds = rng.Below(4);
+  // Offered load from ~0.5x to ~3x the lane's capacity.
+  static constexpr double kServiceScale[] = {0.5, 1.0, 3.0};
+  const double scale = kServiceScale[rng.Below(3)];
+  const size_t n = 40 + rng.Below(41);
+  double t = 0;
+  for (size_t i = 0; i < n; ++i) {
+    t += 1e-3 + rng.NextDouble() * 2.0;
+    const int key = static_cast<int>(rng.Below(keys));
+    const double service = scale * (0.2 + rng.NextDouble() * 1.6);
+    const bool faulted = rng.NextDouble() < fault_rate[static_cast<size_t>(key)];
+    c.arrivals.push_back(DiffArrival{t, service, key, faulted});
+  }
+  return c;
+}
+
+DiffCounts ReplayCounts(const DiffCase& c) {
+  vnet::MeasuredTrace trace;
+  trace.names = c.names;
+  trace.classes = c.classes;
+  for (const DiffArrival& a : c.arrivals) {
+    trace.arrivals_us.push_back(a.at_us);
+    trace.tenant.push_back(a.key);
+    trace.service_us.push_back(a.service_us);
+    trace.cold.push_back(false);
+    trace.faulted.push_back(a.faulted);
+  }
+  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, c.options);
+  DiffCounts counts(c.names.size());
+  for (size_t k = 0; k < c.names.size(); ++k) {
+    const vnet::TenantOutcome& t = replay.tenants[k];
+    counts.accepted[k] = t.completed + t.faulted;
+    counts.quota[k] = t.shed_quota;
+    counts.breaker[k] = t.shed_breaker;
+    counts.overload[k] = t.shed_overload;
+    counts.opens[k] = t.breaker_opens;
+  }
+  return counts;
+}
+
+// Drives the sequence through a real one-worker executor.  The harness keeps
+// the virtual clock: the running task's virtual completion is its start (the
+// later of the lane freeing and its arrival) plus its service, and it is
+// released before the first arrival after it.
+DiffCounts ExecutorCounts(wasp::Runtime* runtime, const DiffCase& c) {
+  const size_t n = c.arrivals.size();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<char> released(n, 0);
+  std::vector<size_t> started;  // task indices, in the order the worker ran them
+  DiffCounts counts(c.names.size());
+  wasp::Executor executor(runtime, c.options);
+  std::vector<std::future<wasp::RunOutcome>> futures(n);
+
+  size_t seen = 0;        // entries of `started` the harness has consumed
+  long running = -1;      // the task the worker is blocked in, if any
+  double running_done = 0;
+  double lane_free = 0;
+  // Called with no task running: waits until the worker either started the
+  // next queued job or has nothing left to run.
+  auto settle = [&] {
+    while (true) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (started.size() > seen) {
+          const size_t k = started[seen++];
+          running = static_cast<long>(k);
+          running_done = std::max(lane_free, c.arrivals[k].at_us) + c.arrivals[k].service_us;
+          return;
+        }
+      }
+      const wasp::ExecutorStats stats = executor.stats();
+      if (stats.queued == 0 && stats.in_flight == 0) {
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+
+  for (size_t i = 0; i < n; ++i) {
+    const DiffArrival& a = c.arrivals[i];
+    while (running >= 0 && running_done < a.at_us) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        released[static_cast<size_t>(running)] = 1;
+      }
+      cv.notify_all();
+      futures[static_cast<size_t>(running)].wait();  // accounting settled
+      lane_free = running_done;
+      running = -1;
+      settle();
+    }
+    auto task = [&, i] {
+      std::unique_lock<std::mutex> lock(mu);
+      started.push_back(i);
+      cv.wait(lock, [&] { return released[i] != 0; });
+      wasp::RunOutcome outcome;
+      if (c.arrivals[i].faulted) {
+        outcome.fault = wasp::FaultKind::kGuestTrap;
+        outcome.status = vbase::Internal("scripted fault");
+      }
+      return outcome;
+    };
+    const size_t k = static_cast<size_t>(a.key);
+    wasp::Admission admission = wasp::Admission::kStopped;
+    executor.TrySubmitTask(task, &futures[i], c.names[k], c.classes[k], &admission);
+    switch (admission) {
+      case wasp::Admission::kAccepted: ++counts.accepted[k]; break;
+      case wasp::Admission::kQuotaExceeded: ++counts.quota[k]; break;
+      case wasp::Admission::kCircuitOpen: ++counts.breaker[k]; break;
+      case wasp::Admission::kQueueFull: ++counts.overload[k]; break;
+      case wasp::Admission::kStopped: ADD_FAILURE() << "executor stopped"; break;
+    }
+    if (admission == wasp::Admission::kAccepted && running < 0) {
+      settle();
+    }
+  }
+  // The replay feeds its policy only the completions that precede an
+  // arrival, so read the breaker's opens at the last arrival.
+  for (size_t k = 0; k < c.names.size(); ++k) {
+    counts.opens[k] = executor.KeyRecoveryState(c.names[k]).opens;
+  }
+  const wasp::ExecutorStats stats = executor.stats();
+  uint64_t quota = 0, breaker = 0, overload = 0;
+  for (size_t k = 0; k < c.names.size(); ++k) {
+    quota += counts.quota[k];
+    breaker += counts.breaker[k];
+    overload += counts.overload[k];
+  }
+  EXPECT_EQ(stats.quota_rejected, quota);
+  EXPECT_EQ(stats.breaker_rejected, breaker);
+  EXPECT_EQ(stats.rejected, overload);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    std::fill(released.begin(), released.end(), 1);
+  }
+  cv.notify_all();
+  return counts;  // the executor drains every remaining task on destruction
+}
+
+// Returns an empty string when executor and replay agree on `c`, else the
+// first per-key disagreement.
+std::string DiffCaseMismatch(wasp::Runtime* runtime, const DiffCase& c) {
+  const DiffCounts live = ExecutorCounts(runtime, c);
+  const DiffCounts replay = ReplayCounts(c);
+  struct Field {
+    const char* name;
+    const std::vector<uint64_t> DiffCounts::*values;
+  };
+  static constexpr Field kFields[] = {
+      {"accepted", &DiffCounts::accepted}, {"quota", &DiffCounts::quota},
+      {"breaker", &DiffCounts::breaker},   {"overload", &DiffCounts::overload},
+      {"opens", &DiffCounts::opens},
+  };
+  for (size_t k = 0; k < c.names.size(); ++k) {
+    for (const Field& f : kFields) {
+      if ((live.*f.values)[k] != (replay.*f.values)[k]) {
+        return c.names[k] + " " + f.name + ": executor " +
+               std::to_string((live.*f.values)[k]) + ", replay " +
+               std::to_string((replay.*f.values)[k]);
+      }
+    }
+  }
+  return {};
+}
+
+TEST(AdmissionDifferential, ExecutorAndReplayAgreeOnSeededSequences) {
+  wasp::Runtime runtime;
+  constexpr uint64_t kSeeds = 240;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const std::string mismatch = DiffCaseMismatch(&runtime, MakeDiffCase(seed));
+    EXPECT_EQ(mismatch, "") << "seed " << seed;
+  }
+}
+
+// Seed 2, minimized.  A one-worker executor used to run a queued job of the
+// key it had just run ahead of the class queue's head (the keyed affinity
+// scan).  Here that put key0's second fault ahead of key1's job, so key0's
+// breaker opened before the arrival at t=6 and shed it, while the replay's
+// FIFO lane admitted it.
+TEST(AdmissionDifferential, OneWorkerDequeuesFifoWithinAClass) {
+  DiffCase c;
+  c.names = {"key0", "key1", "key2"};
+  c.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kLatency, wasp::KeyClass::kBatch};
+  c.options.workers = 1;
+  c.options.max_queue_depth = 4;
+  c.options.block_when_full = false;
+  c.options.key_quota = 3;
+  c.options.batch_weight = 1;
+  c.options.recovery.breaker_enabled = true;
+  c.options.recovery.breaker_alpha = 0.5;
+  c.options.recovery.breaker_open_threshold = 0.45;
+  c.options.recovery.breaker_min_samples = 2;
+  c.options.recovery.breaker_open_sheds = 1;
+  c.arrivals = {{0.0, 2.9, 0, true}, {0.3, 5.2, 1, false}, {1.9, 2.8, 0, true},
+                {6.0, 3.2, 0, true}};
+  const DiffCounts replay = ReplayCounts(c);
+  EXPECT_EQ(replay.accepted[0], 3u);
+  EXPECT_EQ(replay.breaker[0], 0u);
+  wasp::Runtime runtime;
+  EXPECT_EQ(DiffCaseMismatch(&runtime, c), "");
+}
+
+// A half-open probe that the global bound rejects hands its reservation
+// back on both sides: the next arrival of the key becomes the probe, and its
+// clean completion closes the breaker.
+TEST(AdmissionDifferential, ProbeRejectedByTheGlobalBoundHandsItsReservationBack) {
+  DiffCase c;
+  c.names = {"key0", "key1"};
+  c.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kLatency};
+  c.options.workers = 1;
+  c.options.max_queue_depth = 1;
+  c.options.block_when_full = false;
+  c.options.recovery.breaker_enabled = true;
+  c.options.recovery.breaker_alpha = 0.5;
+  c.options.recovery.breaker_open_threshold = 0.45;
+  c.options.recovery.breaker_min_samples = 1;
+  c.options.recovery.breaker_open_sheds = 0;
+  c.arrivals = {
+      {0.0, 10.0, 1, false},  // holds the lane until t=10
+      {0.5, 1.0, 0, true},    // runs [10, 11] and opens key0's breaker
+      {10.5, 10.0, 1, false},
+      {11.5, 5.0, 1, false},  // fills the queue
+      {12.0, 1.0, 0, false},  // the probe: overload, reservation handed back
+      {13.0, 1.0, 0, false},  // the probe again: overload again
+      {22.0, 1.0, 0, false},  // the probe, admitted; runs clean and closes
+      {28.0, 1.0, 0, false},  // closed: admitted
+  };
+  const DiffCounts replay = ReplayCounts(c);
+  EXPECT_EQ(replay.accepted[0], 3u);
+  EXPECT_EQ(replay.overload[0], 2u);
+  EXPECT_EQ(replay.breaker[0], 0u);
+  EXPECT_EQ(replay.opens[0], 1u);
+  EXPECT_EQ(replay.accepted[1], 3u);
+  wasp::Runtime runtime;
+  EXPECT_EQ(DiffCaseMismatch(&runtime, c), "");
+}
+
+// The quota can reject a half-open probe only when the key's load got past
+// the quota without entry admission — a blocking SubmitTask bypasses it —
+// which the replay never does, so this path is checked on the executor.
+TEST(AdmissionPolicyExecutor, ProbeRejectedByTheQuotaHandsItsReservationBack) {
+  wasp::Runtime runtime;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.key_quota = 1;
+  options.recovery.breaker_enabled = true;
+  options.recovery.breaker_alpha = 0.5;
+  options.recovery.breaker_open_threshold = 0.45;
+  options.recovery.breaker_min_samples = 1;
+  options.recovery.breaker_open_sheds = 0;
+  wasp::Executor executor(&runtime, options);
+  auto faulting = [] {
+    wasp::RunOutcome outcome;
+    outcome.fault = wasp::FaultKind::kGuestTrap;
+    return outcome;
+  };
+  std::future<wasp::RunOutcome> future;
+  ASSERT_TRUE(executor.TrySubmitTask(faulting, &future, "k"));
+  future.get();
+  ASSERT_EQ(executor.KeyRecoveryState("k").state, wasp::BreakerState::kOpen);
+
+  // A blocking submission holds the key at its quota while the breaker is
+  // open; the next admission-checked one becomes the probe and is then
+  // rejected by the quota.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto held = executor.SubmitTask(
+      [opened] {
+        opened.wait();
+        return wasp::RunOutcome{};
+      },
+      "k");
+  wasp::Admission admission = wasp::Admission::kAccepted;
+  EXPECT_FALSE(executor.TrySubmitTask([] { return wasp::RunOutcome{}; }, &future, "k",
+                                      wasp::KeyClass::kLatency, &admission));
+  EXPECT_EQ(admission, wasp::Admission::kQuotaExceeded);
+  gate.set_value();
+  held.get();
+
+  // The reservation came back: the next submission is the probe, and its
+  // clean run closes the breaker.
+  ASSERT_TRUE(executor.TrySubmitTask([] { return wasp::RunOutcome{}; }, &future, "k",
+                                     wasp::KeyClass::kLatency, &admission));
+  future.get();
+  EXPECT_EQ(executor.KeyRecoveryState("k").state, wasp::BreakerState::kClosed);
+  EXPECT_EQ(executor.stats().quota_rejected, 1u);
+  EXPECT_EQ(executor.stats().breaker_rejected, 0u);
 }
 
 // --- Vespid multi-tenant measurement (real invocations) ----------------------
@@ -374,8 +743,8 @@ TEST(MultiTenant, MeasuredTraceCoversEveryArrivalOfEveryTenant) {
   EXPECT_TRUE(cold_seen[1]);
 
   // The measured trace feeds the governed scheduler end to end.
-  vnet::GovernanceOptions options;
-  options.lanes = 2;
+  wasp::ExecutorOptions options;
+  options.workers = 2;
   options.key_quota = 2;
   const vnet::GovernedReplay replay = vnet::GovernTrace(*trace, options);
   uint64_t offered = 0;

@@ -360,4 +360,21 @@ TEST(Listener, StopDrainsInFlightConnections) {
   ::close(fd);
 }
 
+TEST(Listener, StopCountsStillOpenConnectionsAsClosed) {
+  Stack stack(vnet::ServeMode::kNative);
+  const int fd = ConnectTo(stack.listener->port());
+  ASSERT_GE(fd, 0);
+  std::string stream;
+  ASSERT_TRUE(SendAll(fd, "GET /static.html HTTP/1.1\r\nHost: t\r\n\r\n"));
+  ASSERT_EQ(ReadResponse(fd, &stream), 200);
+  // The keep-alive connection is still open when the listener stops; Stop()
+  // closes it, and the ledger must say so.
+  stack.listener->Stop();
+  const vnet::ListenerStats stats = stack.listener->stats();
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.closed, stats.accepted);
+  EXPECT_TRUE(WaitForEof(fd));
+  ::close(fd);
+}
+
 }  // namespace

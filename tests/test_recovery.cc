@@ -359,8 +359,8 @@ vnet::MeasuredTrace StormTrace(int per_tenant) {
 
 TEST(Recovery, GovernTraceBreakerShedsVictimOnly) {
   const vnet::MeasuredTrace trace = StormTrace(20);
-  vnet::GovernanceOptions governed;
-  governed.lanes = 2;
+  wasp::ExecutorOptions governed;
+  governed.workers = 2;
   governed.recovery.breaker_enabled = true;
   governed.recovery.breaker_min_samples = 4;
   governed.recovery.breaker_open_sheds = 2;
@@ -384,8 +384,8 @@ TEST(Recovery, GovernTraceBreakerShedsVictimOnly) {
   EXPECT_EQ(again.tenants[1].completed, cotenant.completed);
 
   // Disabled breaker: nothing sheds, every victim arrival burns a lane.
-  vnet::GovernanceOptions ungoverned;
-  ungoverned.lanes = 2;
+  wasp::ExecutorOptions ungoverned;
+  ungoverned.workers = 2;
   const vnet::GovernedReplay off = vnet::GovernTrace(trace, ungoverned);
   EXPECT_EQ(off.tenants[0].shed_breaker, 0u);
   EXPECT_EQ(off.tenants[0].faulted, off.tenants[0].offered);

@@ -540,7 +540,7 @@ TEST(Concurrency, ExecutorQuotaRejectIsClassifiedSeparatelyFromQueueFull) {
   for (auto& f : accepted) {
     f.get();
   }
-  EXPECT_EQ(executor.KeyLoad("hot"), 0u);  // entries erased at zero load
+  EXPECT_EQ(executor.KeyLoad("hot"), 0u);  // every slot released
 }
 
 TEST(Concurrency, ExecutorWeightedDequeuePrefersLatencyWithoutStarvingBatch) {
