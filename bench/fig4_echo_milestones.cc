@@ -7,7 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "src/vcc/vcc.h"
-#include "src/vnet/server.h"
+#include "src/vrt/samples.h"
 #include "src/vrt/vlibc.h"
 #include "src/wasp/channel.h"
 #include "src/wasp/runtime.h"
@@ -18,7 +18,7 @@ int main() {
       "server reaches C code in ~10K cycles; a full HTTP echo round trip completes in "
       "100-500K cycles (<300us) including hypercall-based I/O");
 
-  auto image = vcc::CompileProgram(vrt::VlibcSource() + vnet::EchoHandlerSource(), "main",
+  auto image = vcc::CompileProgram(vrt::VlibcSource() + vrt::EchoMilestonesSource(), "main",
                                    vrt::Env::kProt32);
   VB_CHECK(image.ok(), image.status().ToString());
 

@@ -56,7 +56,8 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
               test_cpu test_isa test_fault_injection test_recovery test_listener
-              test_vcc_deep test_boot_smoke test_vrt test_net)
+              test_vcc_deep test_boot_smoke test_vrt test_net
+              test_http_server_concurrency)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"

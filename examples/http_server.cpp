@@ -17,7 +17,7 @@ int main() {
   files.PutFile("/data.txt", std::string(2048, 'x'));
 
   vnet::StaticHttpServer server(&runtime, &files);
-  std::printf("handler image: %zu bytes\n", server.handler_image().bytes.size());
+  std::printf("handler image: %zu bytes\n", server.keepalive_image().bytes.size());
 
   const vnet::ServeMode modes[] = {vnet::ServeMode::kNative, vnet::ServeMode::kVirtine,
                                    vnet::ServeMode::kVirtineSnapshot};

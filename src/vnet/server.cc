@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -13,153 +14,44 @@
 namespace vnet {
 namespace {
 
-// Snapshot key of the static-file handler: HandleVirtine keys its
-// VirtineSpec with it, and snapshot-mode connection jobs carry it as the
-// executor's keyed-dequeue affinity hint, so a lane keeps serving the shell
-// whose snapshot it just parked.
-constexpr const char* kStaticHandlerKey = "http-static-handler";
-// Separate snapshot key for the keep-alive handler image: the two guests
-// boot different binaries, so they must never share a snapshot generation.
-constexpr const char* kKeepAliveHandlerKey = "http-keepalive-handler";
+// Snapshot key of the guest handler: HandleVirtine keys its VirtineSpec
+// with it, and snapshot-mode connection jobs carry it as the executor's
+// keyed-dequeue affinity hint, so a lane keeps serving the shell whose
+// snapshot it just parked.
+constexpr const char* kHandlerKey = "http-keepalive-handler";
 
 }  // namespace
 
-std::string EchoHandlerSource() {
-  // The guest timestamps its startup milestones with in-guest rdtsc (the
-  // paper takes the Figure 4 measurements "inside the virtual context") and
-  // ships them back through return_data after the last milestone.
+std::string KeepAliveHandlerSource() {
+  // The static-file guest: one invocation serves every request of its
+  // connection, so the shell acquire + snapshot restore is paid once per
+  // connection instead of once per request.  A one-request connection costs
+  // exactly the paper's seven host interactions (Section 6.3): recv, stat,
+  // open, read, send, close, exit.  The request cap arrives as the virtine
+  // argument (argc 0 = no cap; a single-shot connection is cap 1).
+  //
+  // Each iteration frames one request off the channel (a head that does not
+  // terminate inside the 2 KB window is answered 413, not truncated),
+  // validates it structurally before touching any file (request-line shape,
+  // an HTTP/ version token, a colon in every header line, Host on
+  // HTTP/1.1), streams the file in 1 KB chunks with the response head in
+  // front of the first, streams any Content-Length request body off the
+  // channel, and honors Connection: close / keep-alive.  The exit code is
+  // the last request's verdict (0 = 200, 1 = 400, 2 = 404, 3 = 413,
+  // 4 = 500) and argument-page word 0 holds the connection's tally, so the
+  // host accounts per-request statuses without a hypercall.  Framing trust:
+  // the host front end (listener or native parser) rejects smuggling-shaped
+  // heads before forwarding, so this guest keeps the simple first-match
+  // Content-Length scan.
+  //
+  // Interpreted guest cycles are the per-request currency, so the head is
+  // parsed in ONE pass (validity, version, Host, Content-Length, Connection
+  // all extracted while the bytes are hot), the terminator search resumes
+  // where the previous recv left off, pipelined requests are consumed in
+  // place (the window is compacted only when it would overflow), and the
+  // 200 response head is cached across the connection's requests (rebuilt
+  // only when the path or file size changes).
   return R"vc(
-int main() {
-  char buf[1024];
-  int mb[3];
-  int n;
-  mb[0] = __rdtsc();          // milestone: reached C code (server main)
-  n = recv(buf, 1023);
-  mb[1] = __rdtsc();          // milestone: request received (recv returned)
-  if (n > 0) {
-    send(buf, n);
-  }
-  mb[2] = __rdtsc();          // milestone: response sent (send returned)
-  return_data(mb, sizeof(int) * 3);
-  return n;
-}
-)vc";
-}
-
-namespace {
-
-// Request-head helpers shared by the single-shot and keep-alive guests
-// (scans are bounded to the header block, so body bytes can never satisfy a
-// header rule).
-std::string HandlerHelpersSource() {
-  return R"vc(
-int vn_headers_end(char *req, int n) {
-  int i;
-  i = 0;
-  while (i + 3 < n) {
-    if (req[i] == 13 && req[i + 1] == 10 && req[i + 2] == 13 && req[i + 3] == 10) {
-      return i;
-    }
-    i = i + 1;
-  }
-  return -1;
-}
-
-int vn_version_start(char *req, int he) {
-  int i;
-  int t;
-  i = 0;
-  t = 0;
-  while (i < he && req[i] != 13) {
-    while (i < he && (req[i] == ' ' || req[i] == 9)) {
-      i = i + 1;
-    }
-    if (i >= he || req[i] == 13) {
-      return -1;
-    }
-    if (t == 2) {
-      return i;
-    }
-    while (i < he && req[i] != ' ' && req[i] != 9 && req[i] != 13) {
-      i = i + 1;
-    }
-    t = t + 1;
-  }
-  return -1;
-}
-
-int vn_head_valid(char *req, int he) {
-  int i;
-  int vs;
-  int has_colon;
-  vs = vn_version_start(req, he);
-  if (vs < 0 || vs + 4 >= he) {
-    return 0;
-  }
-  if (!(req[vs] == 'H' && req[vs + 1] == 'T' && req[vs + 2] == 'T' && req[vs + 3] == 'P' &&
-        req[vs + 4] == '/')) {
-    return 0;
-  }
-  i = vs;
-  while (i < he && req[i] != 13) {
-    i = i + 1;
-  }
-  while (i < he) {
-    if (req[i] == 10) {
-      has_colon = 0;
-      i = i + 1;
-      while (i < he && req[i] != 13) {
-        if (req[i] == ':') {
-          has_colon = 1;
-        }
-        i = i + 1;
-      }
-      if (!has_colon) {
-        return 0;
-      }
-    } else {
-      i = i + 1;
-    }
-  }
-  return 1;
-}
-
-int vn_is_http11(char *req, int he) {
-  int vs;
-  vs = vn_version_start(req, he);
-  if (vs < 0 || vs + 8 > he) {
-    return 0;
-  }
-  if (req[vs] == 'H' && req[vs + 1] == 'T' && req[vs + 2] == 'T' && req[vs + 3] == 'P' &&
-      req[vs + 4] == '/' && req[vs + 5] == '1' && req[vs + 6] == '.' && req[vs + 7] == '1' &&
-      (req[vs + 8] == 13 || req[vs + 8] == ' ' || req[vs + 8] == 9)) {
-    return 1;
-  }
-  return 0;
-}
-
-int vn_has_host(char *req, int he) {
-  int i;
-  int j;
-  i = 0;
-  while (i + 5 < he) {
-    if (req[i] == 10) {
-      if ((req[i + 1] == 'H' || req[i + 1] == 'h') && (req[i + 2] == 'o' || req[i + 2] == 'O') &&
-          (req[i + 3] == 's' || req[i + 3] == 'S') && (req[i + 4] == 't' || req[i + 4] == 'T')) {
-        j = i + 5;
-        while (j < he && (req[j] == ' ' || req[j] == 9)) {
-          j = j + 1;
-        }
-        if (j < he && req[j] == ':') {
-          return 1;
-        }
-      }
-    }
-    i = i + 1;
-  }
-  return 0;
-}
-
 int parse_path(char *req, char *path) {
   int i;
   int j;
@@ -183,114 +75,7 @@ int parse_path(char *req, char *path) {
   }
   return j;
 }
-)vc";
-}
 
-}  // namespace
-
-std::string StaticHandlerSource() {
-  // Exactly the paper's seven host interactions (Section 6.3):
-  // (1) recv request, (2) stat file, (3) open, (4) read, (5) send response,
-  // (6) close, (7) exit.  Structural request validation (complete header
-  // block, an HTTP/ version token, a colon in every header line, Host on
-  // HTTP/1.1) runs inside the guest before any file interaction: a
-  // malformed request costs three hypercalls (recv, send 400, exit) and
-  // never touches the sandboxed filesystem.
-  return HandlerHelpersSource() + R"vc(
-int main() {
-  char req[2048];
-  char path[256];
-  char hdr[320];
-  char num[24];
-  char *body;
-  char *resp;
-  int n;
-  int sz;
-  int fd;
-  int m;
-  int hl;
-  int he;
-  n = recv(req, 2047);                                   // (1)
-  if (n <= 0) {
-    exit(1);
-    return 1;
-  }
-  req[n] = 0;
-  he = vn_headers_end(req, n);
-  if (he < 0) {
-    if (n >= 2047) {
-      send("HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n", 53);
-      exit(3);
-      return 3;
-    }
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  if (!vn_head_valid(req, he)) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  if (vn_is_http11(req, he) && !vn_has_host(req, he)) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  if (parse_path(req, path) < 0) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  sz = stat_size(path);                                  // (2)
-  if (sz < 0) {
-    send("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", 45);
-    exit(2);
-    return 2;
-  }
-  fd = open(path);                                       // (3)
-  body = malloc(sz + 16);
-  m = read(fd, body, sz);                                // (4)
-  strcpy(hdr, "HTTP/1.1 200 OK\r\nContent-Length: ");
-  itoa(num, m);
-  strcat(hdr, num);
-  strcat(hdr, "\r\n\r\n");
-  hl = strlen(hdr);
-  resp = malloc(hl + m + 16);
-  memcpy(resp, hdr, hl);
-  memcpy(resp + hl, body, m);
-  send(resp, hl + m);                                    // (5)
-  close(fd);                                             // (6)
-  exit(0);                                               // (7)
-  return 0;
-}
-)vc";
-}
-
-std::string KeepAliveHandlerSource() {
-  // The persistent-connection static-file guest: one invocation serves every
-  // request of its connection, so the shell acquire + snapshot restore is
-  // paid once per connection instead of once per request.  Each iteration
-  // frames one request off the channel (growable within the 2 KB head
-  // window — a head that does not terminate inside it is answered 413, not
-  // truncated), streams any Content-Length body through recv in 1 KB chunks
-  // (bodies are not capped by the head window), streams the response body
-  // from the file in 1 KB chunks, and honors Connection: close /
-  // keep-alive.  Exit reports [requests, 2xx, 4xx, clean] via return_data
-  // so the host can account per-request statuses without parsing the byte
-  // stream.  Framing trust: the host front end (listener or native parser)
-  // rejects smuggling-shaped heads before forwarding, so this guest keeps
-  // the simple first-match Content-Length scan.
-  //
-  // Interpreted guest cycles are the per-request currency keep-alive is
-  // amortizing against, so the head is parsed in ONE pass (validity,
-  // version, Host, Content-Length, Connection all extracted while the bytes
-  // are hot) instead of one helper scan per fact, the terminator search
-  // resumes where the previous recv left off, and the 200 response head is
-  // cached across the connection's requests (rebuilt only when the path or
-  // file size changes) so the itoa/strcat string loops run once, not per
-  // request.
-  return HandlerHelpersSource() + R"vc(
 int vn_lc(int c) {
   if (c >= 'A' && c <= 'Z') {
     return c + 32;
@@ -298,14 +83,11 @@ int vn_lc(int c) {
   return c;
 }
 
-// vn_headers_end, resumable: scans [from, n) for CRLFCRLF (the caller backs
-// `from` up 3 bytes so a terminator split across recvs is still found).
+// Scans [from, n) for CRLFCRLF (the caller backs `from` up 3 bytes so a
+// terminator split across recvs is still found).
 int vn_headers_end_from(char *req, int from, int n) {
   int i;
   i = from;
-  if (i < 0) {
-    i = 0;
-  }
   while (i + 3 < n) {
     if (req[i] == 13 && req[i + 1] == 10 && req[i + 2] == 13 && req[i + 3] == 10) {
       return i;
@@ -389,7 +171,11 @@ int vn_parse_head(char *req, int he, int *out) {
     if (colon < 0) {
       return 0;
     }
-    nl = colon - ls;
+    nl = colon;
+    while (nl > ls && (req[nl - 1] == ' ' || req[nl - 1] == 9)) {
+      nl = nl - 1;
+    }
+    nl = nl - ls;
     if (nl == 4 && vn_lc(req[ls]) == 'h' && vn_lc(req[ls + 1]) == 'o' &&
         vn_lc(req[ls + 2]) == 's' && vn_lc(req[ls + 3]) == 't') {
       out[2] = 1;
@@ -444,18 +230,20 @@ int vn_parse_head(char *req, int he, int *out) {
   return 1;
 }
 
-// Serves one parsed request.  ph is vn_parse_head's output; cpath/chdr/cmeta
-// carry the connection's cached 200 head (cmeta = [head len, file size,
-// cache valid]).
-int vn_serve(char *req, int *ph, char *cpath, char *chdr, int *cmeta) {
+// Serves one parsed request and returns its status.  ph is vn_parse_head's
+// output.  sbuf holds the connection's cached 200 head at its front
+// (cmeta = [head len, file size, cache valid]; the head is at most 57
+// bytes) and file chunks of up to 1 KB right behind it, so the head and
+// the first chunk leave in one send.
+int vn_serve(char *req, int *ph, char *cpath, char *sbuf, int *cmeta) {
   char path[256];
   char num[24];
-  char fbuf[1024];
   int sz;
   int fd;
   int m;
   int total;
   int want;
+  int hl;
   if (!ph[0]) {
     send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
     return 400;
@@ -474,105 +262,160 @@ int vn_serve(char *req, int *ph, char *cpath, char *chdr, int *cmeta) {
     return 404;
   }
   if (!cmeta[2] || sz != cmeta[1] || strcmp(path, cpath) != 0) {
-    strcpy(chdr, "HTTP/1.1 200 OK\r\nContent-Length: ");
+    strcpy(sbuf, "HTTP/1.1 200 OK\r\nContent-Length: ");
     itoa(num, sz);
-    strcat(chdr, num);
-    strcat(chdr, "\r\n\r\n");
-    cmeta[0] = strlen(chdr);
+    strcat(sbuf, num);
+    strcat(sbuf, "\r\n\r\n");
+    cmeta[0] = strlen(sbuf);
     cmeta[1] = sz;
     cmeta[2] = 1;
     strcpy(cpath, path);
   }
   fd = open(path);
-  send(chdr, cmeta[0]);
+  hl = cmeta[0];  // head bytes still to go out ahead of the next chunk
   total = 0;
-  while (total < sz) {
+  while (hl > 0 || total < sz) {
     want = sz - total;
     if (want > 1024) {
       want = 1024;
     }
-    m = read(fd, fbuf, want);
-    if (m <= 0) {
-      close(fd);
-      return 500;
+    m = 0;
+    if (want > 0) {
+      m = read(fd, sbuf + cmeta[0], want);
+      if (m <= 0) {
+        // The file changed under the stat: nothing is promised yet if the
+        // head is still here, otherwise the body is cut short.
+        if (hl > 0) {
+          send("HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n", 57);
+        }
+        close(fd);
+        return 500;
+      }
     }
-    send(fbuf, m);
+    send(sbuf + cmeta[0] - hl, hl + m);
     total = total + m;
+    hl = 0;
   }
   close(fd);
   return 200;
 }
 
+// Adds one request's status to the connection tally, three 21-bit counts
+// in one word: [0, 21) 2xx, [21, 42) 4xx, [42, 63) 5xx.  The default
+// watchdog (2e9 instructions) ends a connection long before a count wraps.
+int vn_tally(int tally, int st) {
+  if (st == 200) {
+    return tally + 1;
+  }
+  if (st == 500) {
+    return tally + (1 << 42);
+  }
+  return tally + (1 << 21);
+}
+
+// Ends the connection: the tally goes to argument-page word 0 (harvested
+// with the exit, no hypercall of its own) and the exit code carries the
+// last request's verdict.
+int vn_finish(int tally, int st) {
+  int *page;
+  int code;
+  page = 0;
+  page[0] = tally;
+  code = 0;
+  if (st == 400) {
+    code = 1;
+  }
+  if (st == 404) {
+    code = 2;
+  }
+  if (st == 413) {
+    code = 3;
+  }
+  if (st == 500) {
+    code = 4;
+  }
+  exit(code);
+  return code;
+}
+
 int main() {
   char req[2048];
   char bbuf[1024];
+  char sbuf[1088];
   char cpath[256];
-  char chdr[320];
   int cmeta[3];
   int ph[5];
-  int stats[4];
+  int *page;
+  int cap;
+  int served;
+  int tally;
+  int st;
+  int s;
   int n;
   int m;
   int he;
+  int sp;
   int body;
   int rem;
   int take;
-  int st;
   int ka;
-  int i;
-  int j;
-  int sp;
-  n = 0;
+  // The request cap is the virtine argument: argc (word 1) says whether
+  // word 2 holds one.
+  page = 0;
+  cap = 0;
+  if (page[1] > 0) {
+    cap = page[2];
+  }
   cmeta[0] = 0;
   cmeta[1] = 0;
   cmeta[2] = 0;
-  stats[0] = 0;
-  stats[1] = 0;
-  stats[2] = 0;
-  stats[3] = 0;
+  served = 0;
+  tally = 0;
+  st = 200;
+  // req[s, n) holds the bytes received and not yet consumed.
+  s = 0;
+  n = 0;
   while (1) {
-    he = vn_headers_end_from(req, 0, n);
+    he = vn_headers_end_from(req, s, n);
     while (he < 0) {
-      if (n >= 2047) {
+      if (n - s >= 2047) {
         send("HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n", 53);
-        stats[0] = stats[0] + 1;
-        stats[2] = stats[2] + 1;
-        return_data(stats, sizeof(int) * 4);
-        exit(3);
-        return 3;
+        vn_finish(vn_tally(tally, 413), 413);
+      }
+      if (n >= 2047) {
+        // The window is full but the request starts inside it: move the
+        // partial head to the front (memcpy copies forward, so the overlap
+        // is safe).
+        memcpy(req, req + s, n - s);
+        n = n - s;
+        s = 0;
       }
       m = recv(req + n, 2047 - n);
       if (m <= 0) {
-        if (n == 0) {
-          stats[3] = 1;
-          return_data(stats, sizeof(int) * 4);
-          exit(0);
-          return 0;
+        if (n == s && served > 0) {
+          vn_finish(tally, st);
         }
         send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-        stats[0] = stats[0] + 1;
-        stats[2] = stats[2] + 1;
-        return_data(stats, sizeof(int) * 4);
-        exit(1);
-        return 1;
+        vn_finish(vn_tally(tally, 400), 400);
       }
       sp = n - 3;
+      if (sp < s) {
+        sp = s;
+      }
       n = n + m;
       he = vn_headers_end_from(req, sp, n);
     }
     req[n] = 0;
-    vn_parse_head(req, he, ph);
-    st = vn_serve(req, ph, cpath, chdr, cmeta);
-    stats[0] = stats[0] + 1;
-    if (st == 200) {
-      stats[1] = stats[1] + 1;
-    } else {
-      stats[2] = stats[2] + 1;
+    vn_parse_head(req + s, he - s, ph);
+    st = vn_serve(req + s, ph, cpath, sbuf, cmeta);
+    tally = vn_tally(tally, st);
+    served = served + 1;
+    ka = ph[4];
+    if (ka == 2) {
+      ka = ph[1];
     }
-    if (st == 400) {
-      return_data(stats, sizeof(int) * 4);
-      exit(1);
-      return 1;
+    if (st == 400 || st == 500 || !ka || served == cap) {
+      vn_finish(tally, st);
     }
     body = n - (he + 4);
     if (body > ph[3]) {
@@ -586,35 +429,22 @@ int main() {
       }
       m = recv(bbuf, take);
       if (m <= 0) {
-        return_data(stats, sizeof(int) * 4);
-        exit(1);
-        return 1;
+        vn_finish(tally, st);
       }
       rem = rem - m;
     }
-    ka = ph[4];
-    if (ka == 2) {
-      ka = ph[1];
-    }
-    i = he + 4 + body;
-    j = 0;
-    while (i < n) {
-      req[j] = req[i];
-      i = i + 1;
-      j = j + 1;
-    }
-    n = j;
-    if (!ka) {
-      stats[3] = 1;
-      return_data(stats, sizeof(int) * 4);
-      exit(0);
-      return 0;
+    s = he + 4 + body;
+    if (s == n) {
+      s = 0;
+      n = 0;
     }
   }
   return 0;
 }
 )vc";
 }
+
+std::string StaticHandlerSource() { return KeepAliveHandlerSource(); }
 
 const char* ServeModeName(ServeMode mode) {
   switch (mode) {
@@ -630,15 +460,10 @@ const char* ServeModeName(ServeMode mode) {
 
 StaticHttpServer::StaticHttpServer(wasp::Runtime* runtime, wasp::HostEnv* env)
     : runtime_(runtime), env_(env) {
-  auto image = vcc::CompileProgram(vrt::VlibcSource() + StaticHandlerSource(), "main",
+  auto image = vcc::CompileProgram(vrt::VlibcSource() + KeepAliveHandlerSource(), "main",
                                    vrt::Env::kLong64);
-  VB_CHECK(image.ok(), "static handler failed to compile: " << image.status().ToString());
-  handler_image_ = std::move(*image);
-  auto ka_image = vcc::CompileProgram(vrt::VlibcSource() + KeepAliveHandlerSource(), "main",
-                                      vrt::Env::kLong64);
-  VB_CHECK(ka_image.ok(),
-           "keep-alive handler failed to compile: " << ka_image.status().ToString());
-  keepalive_image_ = std::move(*ka_image);
+  VB_CHECK(image.ok(), "handler failed to compile: " << image.status().ToString());
+  keepalive_image_ = std::move(*image);
 }
 
 vbase::Result<ServeStats> StaticHttpServer::HandleConnection(wasp::ByteChannel& channel,
@@ -771,14 +596,15 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
                                                           const ConnectionOptions& conn) {
   vbase::WallTimer timer;
   wasp::VirtineSpec spec;
-  spec.image = conn.keep_alive ? &keepalive_image_ : &handler_image_;
-  spec.key = conn.keep_alive ? kKeepAliveHandlerKey : kStaticHandlerKey;
+  spec.image = &keepalive_image_;
+  spec.key = kHandlerKey;
   spec.mem_size = 1ULL << 20;
   spec.policy = wasp::kPolicyStream | wasp::kPolicyFileIo | wasp::MaskOf(wasp::kHcSnapshot);
-  if (conn.keep_alive) {
-    // The keep-alive guest reports [requests, 2xx, 4xx, clean] on exit.
-    spec.policy |= wasp::MaskOf(wasp::kHcReturnData);
-  }
+  // The request cap is the guest's argument, written on every invocation: a
+  // warm restore would otherwise replay the capturing run's argument page.
+  const uint64_t args[3] = {0, 1, static_cast<uint64_t>(conn.keep_alive ? conn.max_requests : 1)};
+  spec.args_page.resize(sizeof(args));
+  std::memcpy(spec.args_page.data(), args, sizeof(args));
   spec.use_snapshot = snapshot;
   spec.env = env_;
   spec.channel = &channel.guest();
@@ -805,32 +631,16 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
   if (!outcome.status.ok()) {
     return outcome.status;
   }
+  // The guest's tally (three 21-bit counts in argument-page word 0) and its
+  // exit code, the last request's verdict.
+  static constexpr int kVerdicts[] = {200, 400, 404, 413, 500};
+  constexpr uint64_t kCountMask = (1ULL << 21) - 1;
   ServeStats stats;
-  if (conn.keep_alive) {
-    // One invocation served the whole connection; per-request accounting
-    // comes back through return_data as word-sized counters.
-    uint64_t guest_stats[4] = {0, 0, 0, 0};
-    if (outcome.output.size() >= sizeof(guest_stats)) {
-      std::memcpy(guest_stats, outcome.output.data(), sizeof(guest_stats));
-    }
-    stats.requests = guest_stats[0];
-    stats.r2xx = guest_stats[1];
-    stats.r4xx = guest_stats[2];
-    stats.status = outcome.exit_code == 0   ? (stats.requests > 0 ? 200 : 0)
-                   : outcome.exit_code == 3 ? 413
-                                            : 400;
-  } else {
-    stats.status = outcome.exit_code == 0   ? 200
-                   : outcome.exit_code == 2 ? 404
-                   : outcome.exit_code == 3 ? 413
-                                            : 400;
-    stats.requests = 1;
-    if (stats.status == 200) {
-      stats.r2xx = 1;
-    } else {
-      stats.r4xx = 1;
-    }
-  }
+  stats.r2xx = outcome.result_word & kCountMask;
+  stats.r4xx = (outcome.result_word >> 21) & kCountMask;
+  stats.r5xx = (outcome.result_word >> 42) & kCountMask;
+  stats.requests = stats.r2xx + stats.r4xx + stats.r5xx;
+  stats.status = outcome.exit_code < std::size(kVerdicts) ? kVerdicts[outcome.exit_code] : 500;
   stats.modeled_cycles = outcome.stats.total_cycles;
   stats.guest_cycles = outcome.stats.guest_cycles;
   stats.io_exits = outcome.stats.io_exits;
@@ -870,7 +680,7 @@ std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
   // configured key_quota caps them as a single pool (and sheds 429).  Front
   // ends that want per-tenant quotas use the routed overload below.
   std::string key =
-      mode == ServeMode::kVirtineSnapshot ? std::string(kStaticHandlerKey) : std::string();
+      mode == ServeMode::kVirtineSnapshot ? std::string(kHandlerKey) : std::string();
   return Dispatch(channel, mode, std::move(key), wasp::KeyClass::kLatency,
                   options_.connection);
 }

@@ -1,14 +1,15 @@
 // The HTTP servers of Sections 4.2 and 6.3.
 //
-// * EchoHandlerSource(): the protected-mode echo guest (Figure 4) that
-//   timestamps its startup milestones with in-guest rdtsc.
-// * StaticHandlerSource(): the static-file guest handler (Figure 13) that
-//   performs exactly the paper's seven host interactions per request:
-//   recv, stat, open, read, send, close, exit — and validates the request
-//   (complete header block, Host on HTTP/1.1) before touching any file.
-// * StaticHttpServer: serves one connection per request either natively
-//   (host C++ handler, the baseline) or in a fresh virtine (with or without
-//   snapshotting).
+// * KeepAliveHandlerSource(): the one static-file guest handler (Figure
+//   13).  It serves a connection's requests up to a cap passed as its
+//   virtine argument, so a single-shot connection is the same program with
+//   a cap of one, and that one request costs exactly the paper's seven host
+//   interactions: recv, stat, open, read, send, close, exit.  It validates
+//   each request (complete header block, Host on HTTP/1.1) before touching
+//   any file.
+// * StaticHttpServer: serves a connection either natively (host C++
+//   handler, the baseline) or in a virtine (with or without snapshotting).
+//   Every mode enforces ConnectionOptions::max_requests.
 // * ConcurrentHttpServer: the executor-backed front end — every connection
 //   is dispatched as a job on a wasp::Executor, so N lanes serve N
 //   connections concurrently and bounded admission (reject mode answers
@@ -41,14 +42,15 @@
 
 namespace vnet {
 
-// Guest source (vcc dialect; concatenate after vlibc).
-std::string EchoHandlerSource();
-std::string StaticHandlerSource();
-// Keep-alive variant: one invocation serves every request of a connection
-// (recv -> frame -> serve loop until EOF or "Connection: close"), streaming
-// request bodies through the channel in bounded chunks and reporting
-// [requests, 2xx, 4xx, clean] through return_data on exit.
+// Guest source (vcc dialect; concatenate after vlibc).  One invocation
+// serves every request of a connection (recv -> frame -> serve loop until
+// EOF, "Connection: close", a 400 or the cap in argument word 2, when argc
+// is nonzero), streaming request bodies through the channel in bounded
+// chunks.  It exits with the last request's verdict (0 = 200, 1 = 400,
+// 2 = 404, 3 = 413, 4 = 500) and leaves its tally in argument-page word 0.
 std::string KeepAliveHandlerSource();
+// The same program under its older name.
+std::string StaticHandlerSource();
 
 enum class ServeMode {
   kNative,           // host C++ handler, no isolation
@@ -66,8 +68,9 @@ struct ConnectionOptions {
   // Serve requests in a loop until EOF, "Connection: close", or
   // max_requests; off, exactly one request is served.
   bool keep_alive = false;
-  // Keep-alive request cap per connection (host-enforced: the native loop
-  // stops serving and the listener closes the stream); 0 = unlimited.
+  // Keep-alive request cap per connection, enforced in every mode: the
+  // native loop stops serving, the virtine guest gets it as its argument,
+  // and the listener closes the stream; 0 = unlimited.
   int max_requests = 64;
   // A request head that has not terminated within this many bytes is
   // answered 413 (matches the guest handler's receive window, so every
@@ -87,7 +90,7 @@ struct ConnectionOptions {
 struct ServeStats {
   int status = 0;               // HTTP status of the last request served
   // Per-connection request accounting (keep-alive serves many requests per
-  // connection; the legacy single-shot path reports requests == 1).
+  // connection; a single-shot connection reports at most one).
   uint64_t requests = 0;
   uint64_t r2xx = 0;
   uint64_t r4xx = 0;
@@ -124,7 +127,6 @@ class StaticHttpServer {
   vbase::Result<ServeStats> HandleConnection(wasp::ByteChannel& channel, ServeMode mode,
                                              const ConnectionOptions& conn = {});
 
-  const visa::Image& handler_image() const { return handler_image_; }
   const visa::Image& keepalive_image() const { return keepalive_image_; }
 
  private:
@@ -135,7 +137,6 @@ class StaticHttpServer {
 
   wasp::Runtime* runtime_;
   wasp::HostEnv* env_;
-  visa::Image handler_image_;
   visa::Image keepalive_image_;
 };
 

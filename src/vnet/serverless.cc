@@ -425,6 +425,8 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptio
     policy.OnEnqueue(trace.names[t]);
   }
   dispatch_until(std::numeric_limits<double>::infinity());
+  // Completions after the last arrival still feed the breaker.
+  advance_completions(std::numeric_limits<double>::infinity());
 
   // Per-tenant aggregation + the merged Figure-15-currency timeline.  A
   // faulted arrival held its lane for its measured service (the load is

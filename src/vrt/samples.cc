@@ -84,4 +84,24 @@ echo_done:
 )";
 }
 
+std::string EchoMilestonesSource() {
+  // The paper takes the Figure 4 measurements "inside the virtual context".
+  return R"vc(
+int main() {
+  char buf[1024];
+  int mb[3];
+  int n;
+  mb[0] = __rdtsc();          // milestone: reached C code (server main)
+  n = recv(buf, 1023);
+  mb[1] = __rdtsc();          // milestone: request received (recv returned)
+  if (n > 0) {
+    send(buf, n);
+  }
+  mb[2] = __rdtsc();          // milestone: response sent (send returned)
+  return_data(mb, sizeof(int) * 3);
+  return n;
+}
+)vc";
+}
+
 }  // namespace vrt

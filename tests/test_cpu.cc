@@ -547,8 +547,8 @@ TEST(CycleGolden, KeepAliveHandlerServesThreeRequests) {
     const std::vector<uint8_t> reply = channel.host().Drain();
     prints.push_back(StatsPrint(outcome.stats) + " reply=" + std::to_string(reply.size()));
   }
-  EXPECT_EQ(prints[0], "total=530664 guest=182993 host=347671 insns=16296 io=19 reply=1149");
-  EXPECT_EQ(prints[1], "total=221045 guest=140356 host=80689 insns=13190 io=18 reply=1149");
+  EXPECT_EQ(prints[0], "total=493006 guest=158104 host=334902 insns=13713 io=16 reply=1149");
+  EXPECT_EQ(prints[1], "total=184901 guest=115467 host=69434 insns=10607 io=15 reply=1149");
 }
 
 TEST(CycleGolden, RealModeInsnStraddlesPage) {

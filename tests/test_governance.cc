@@ -525,11 +525,6 @@ DiffCounts ExecutorCounts(wasp::Runtime* runtime, const DiffCase& c) {
       settle();
     }
   }
-  // The replay feeds its policy only the completions that precede an
-  // arrival, so read the breaker's opens at the last arrival.
-  for (size_t k = 0; k < c.names.size(); ++k) {
-    counts.opens[k] = executor.KeyRecoveryState(c.names[k]).opens;
-  }
   const wasp::ExecutorStats stats = executor.stats();
   uint64_t quota = 0, breaker = 0, overload = 0;
   for (size_t k = 0; k < c.names.size(); ++k) {
@@ -540,12 +535,22 @@ DiffCounts ExecutorCounts(wasp::Runtime* runtime, const DiffCase& c) {
   EXPECT_EQ(stats.quota_rejected, quota);
   EXPECT_EQ(stats.breaker_rejected, breaker);
   EXPECT_EQ(stats.rejected, overload);
+  // After the last arrival the one worker runs what is queued in the order
+  // the replay's lane does, so the breaker's opens compare at the end.
   {
     std::lock_guard<std::mutex> lock(mu);
     std::fill(released.begin(), released.end(), 1);
   }
   cv.notify_all();
-  return counts;  // the executor drains every remaining task on destruction
+  for (std::future<wasp::RunOutcome>& f : futures) {
+    if (f.valid()) {
+      f.wait();
+    }
+  }
+  for (size_t k = 0; k < c.names.size(); ++k) {
+    counts.opens[k] = executor.KeyRecoveryState(c.names[k]).opens;
+  }
+  return counts;
 }
 
 // Returns an empty string when executor and replay agree on `c`, else the
@@ -607,6 +612,26 @@ TEST(AdmissionDifferential, OneWorkerDequeuesFifoWithinAClass) {
   const DiffCounts replay = ReplayCounts(c);
   EXPECT_EQ(replay.accepted[0], 3u);
   EXPECT_EQ(replay.breaker[0], 0u);
+  wasp::Runtime runtime;
+  EXPECT_EQ(DiffCaseMismatch(&runtime, c), "");
+}
+
+// A completion after the last arrival still feeds the breaker: the only
+// job faults, and both sides count the open it causes.
+TEST(AdmissionDifferential, CompletionAfterTheLastArrivalOpensTheBreaker) {
+  DiffCase c;
+  c.names = {"key0"};
+  c.classes = {wasp::KeyClass::kLatency};
+  c.options.workers = 1;
+  c.options.block_when_full = false;
+  c.options.recovery.breaker_enabled = true;
+  c.options.recovery.breaker_alpha = 0.5;
+  c.options.recovery.breaker_open_threshold = 0.45;
+  c.options.recovery.breaker_min_samples = 1;
+  c.arrivals = {{0.0, 1.0, 0, true}};
+  const DiffCounts replay = ReplayCounts(c);
+  EXPECT_EQ(replay.accepted[0], 1u);
+  EXPECT_EQ(replay.opens[0], 1u);
   wasp::Runtime runtime;
   EXPECT_EQ(DiffCaseMismatch(&runtime, c), "");
 }

@@ -13,6 +13,7 @@
 #include "src/vnet/server.h"
 #include "src/vcc/vcc.h"
 #include "src/vnet/serverless.h"
+#include "src/vrt/samples.h"
 #include "src/vrt/vlibc.h"
 #include "src/wasp/runtime.h"
 
@@ -244,6 +245,24 @@ TEST_P(ServerModeTest, TruncatedRequestLineGets400) {
   EXPECT_EQ(stats->status, 400);
   const auto resp = channel.host().Drain();
   EXPECT_EQ(std::string(resp.begin(), resp.end()).rfind("HTTP/1.1 400", 0), 0u);
+}
+
+TEST_P(ServerModeTest, EmptyConnectionGets400) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  vnet::StaticHttpServer server(&runtime, &files);
+  for (const bool keep_alive : {false, true}) {
+    vnet::ConnectionOptions conn;
+    conn.keep_alive = keep_alive;
+    wasp::ByteChannel channel;
+    channel.host().CloseWrite();  // the client hangs up before sending a byte
+    auto stats = server.HandleConnection(channel, GetParam(), conn);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->status, 400) << "keep_alive=" << keep_alive;
+    EXPECT_EQ(stats->r4xx, 1u) << "keep_alive=" << keep_alive;
+    const auto resp = channel.host().Drain();
+    EXPECT_EQ(std::string(resp.begin(), resp.end()).rfind("HTTP/1.1 400", 0), 0u);
+  }
 }
 
 TEST_P(ServerModeTest, OversizedHeaderGets413) {
@@ -478,6 +497,182 @@ TEST(Server, VirtineHandlerUsesExactlySevenHypercalls) {
   EXPECT_EQ(stats->io_exits, 7u);
 }
 
+// The one guest program serves single-shot and keep-alive connections: a
+// one-request connection costs the paper's seven hypercalls either way,
+// also when a warm snapshot restore replays the capturing run's state.
+TEST(Server, OneRequestConnectionCostsSevenHypercallsInEveryVirtineMode) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/index.html", std::string(512, 'k'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  const std::string request =
+      "GET /index.html HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+  const size_t response_bytes =
+      std::string("HTTP/1.1 200 OK\r\nContent-Length: 512\r\n\r\n").size() + 512;
+  {
+    // The first snapshot-mode connection also takes the snapshot exit.
+    wasp::ByteChannel channel;
+    channel.host().WriteString(request);
+    ASSERT_TRUE(server.HandleConnection(channel, vnet::ServeMode::kVirtineSnapshot).ok());
+  }
+  for (const vnet::ServeMode mode :
+       {vnet::ServeMode::kVirtine, vnet::ServeMode::kVirtineSnapshot}) {
+    for (const bool keep_alive : {false, true}) {
+      vnet::ConnectionOptions conn;
+      conn.keep_alive = keep_alive;
+      wasp::ByteChannel channel;
+      channel.host().WriteString(request);
+      auto stats = server.HandleConnection(channel, mode, conn);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      const std::string label =
+          std::string(vnet::ServeModeName(mode)) + (keep_alive ? ", keep-alive" : ", single-shot");
+      EXPECT_EQ(stats->status, 200) << label;
+      EXPECT_EQ(stats->requests, 1u) << label;
+      EXPECT_EQ(channel.host().Drain().size(), response_bytes) << label;
+      // recv, stat, open, read, send (head and body), close, exit.
+      EXPECT_EQ(stats->io_exits, 7u) << label;
+    }
+  }
+}
+
+TEST(Server, KeepAliveVirtineEnforcesMaxRequests) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", std::string(8, 'z'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  vnet::ConnectionOptions conn;
+  conn.keep_alive = true;
+  conn.max_requests = 2;
+  for (const vnet::ServeMode mode :
+       {vnet::ServeMode::kVirtine, vnet::ServeMode::kVirtineSnapshot}) {
+    wasp::ByteChannel channel;
+    for (int i = 0; i < 4; ++i) {
+      channel.host().WriteString("GET /f.txt HTTP/1.1\r\nHost: x\r\n\r\n");
+    }
+    channel.host().CloseWrite();  // a handler that ignores the cap serves all 4
+    auto stats = server.HandleConnection(channel, mode, conn);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->requests, 2u) << vnet::ServeModeName(mode);
+    EXPECT_EQ(stats->r2xx, 2u) << vnet::ServeModeName(mode);
+  }
+}
+
+TEST_P(ServerModeTest, SingleShotServesOnceWithTheWriteEndOpen) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", std::string(8, 'z'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::ByteChannel channel;
+  // HTTP/1.1 defaults to keep-alive, but the connection is single-shot: the
+  // handler must return after one request instead of waiting for more.
+  channel.host().WriteString("GET /f.txt HTTP/1.1\r\nHost: x\r\n\r\n");
+  channel.host().WriteString("GET /f.txt HTTP/1.1\r\nHost: x\r\n\r\n");
+  auto stats = server.HandleConnection(channel, GetParam());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->requests, 1u);
+  EXPECT_EQ(stats->status, 200);
+}
+
+TEST_P(ServerModeTest, StatusReportsTheLastRequest) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", std::string(8, 'z'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  struct Case {
+    bool keep_alive;
+    std::vector<const char*> targets;
+    int status;
+  };
+  const Case cases[] = {
+      {false, {"/nope"}, 404},
+      {true, {"/nope"}, 404},
+      {true, {"/f.txt", "/nope"}, 404},
+      {true, {"/nope", "/f.txt"}, 200},
+  };
+  for (const Case& c : cases) {
+    vnet::ConnectionOptions conn;
+    conn.keep_alive = c.keep_alive;
+    wasp::ByteChannel channel;
+    for (const char* target : c.targets) {
+      channel.host().WriteString(std::string("GET ") + target + " HTTP/1.1\r\nHost: x\r\n\r\n");
+    }
+    channel.host().CloseWrite();
+    auto stats = server.HandleConnection(channel, GetParam(), conn);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const std::string label = std::string(c.targets.back()) + " last of " +
+                              std::to_string(c.targets.size()) +
+                              (c.keep_alive ? ", keep-alive" : ", single-shot");
+    EXPECT_EQ(stats->status, c.status) << label;
+    EXPECT_EQ(stats->requests, c.targets.size()) << label;
+    EXPECT_EQ(stats->r2xx + stats->r4xx, c.targets.size()) << label;
+    EXPECT_EQ(stats->r5xx, 0u) << label;
+  }
+}
+
+// A file read that fails after the stat (the file changed under it) is a
+// server error: the guest answers 500, counts it as 5xx, ends the
+// connection and exits with the 500 verdict.
+TEST(Server, FailedFileReadCountsAsServerError) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", std::string(8, 'z'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::ByteChannel channel;
+  channel.host().WriteString("GET /f.txt HTTP/1.1\r\nHost: x\r\n\r\n");
+  channel.host().WriteString("GET /f.txt HTTP/1.1\r\nHost: x\r\n\r\n");  // never served
+  channel.host().CloseWrite();
+  wasp::VirtineSpec spec;
+  spec.image = &server.keepalive_image();
+  spec.policy = wasp::kPolicyStream | wasp::kPolicyFileIo;
+  spec.env = &files;
+  spec.channel = &channel.guest();
+  spec.handlers[wasp::kHcRead] = [](wasp::HypercallFrame&) -> vbase::Result<int64_t> {
+    return -1;
+  };
+  const wasp::RunOutcome outcome = runtime.Invoke(spec);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.exit_code, 4u);
+  EXPECT_EQ(outcome.result_word, 1ULL << 42);  // one 5xx, no 2xx or 4xx
+  const auto resp = channel.host().Drain();
+  EXPECT_EQ(std::string(resp.begin(), resp.end()),
+            vnet::BuildResponseWithReason(500, "Internal Server Error", ""));
+}
+
+// The guest consumes pipelined requests in place: its per-request cost must
+// not grow with the bytes still buffered behind the request.
+TEST(Server, PipelinedRequestsCostTheSameGuestInstructionsEach) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/index.html", std::string(512, 'k'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  const std::string request = "GET /index.html HTTP/1.1\r\nHost: pb\r\n\r\n";
+  const auto insns_per_request = [&](int pipelined) {
+    wasp::VirtineSpec spec;
+    spec.image = &server.keepalive_image();
+    spec.key = "pipelined-" + std::to_string(pipelined);
+    spec.policy = wasp::kPolicyStream | wasp::kPolicyFileIo;
+    spec.use_snapshot = true;
+    spec.env = &files;
+    double per_request = 0;
+    for (int round = 0; round < 2; ++round) {  // cold capture, then warm restore
+      wasp::ByteChannel channel;
+      for (int i = 0; i < pipelined; ++i) {
+        channel.host().WriteString(request);
+      }
+      channel.host().CloseWrite();
+      spec.channel = &channel.guest();
+      const wasp::RunOutcome outcome = runtime.Invoke(spec);
+      EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      EXPECT_EQ(outcome.result_word, static_cast<uint64_t>(pipelined));  // all 200
+      per_request = static_cast<double>(outcome.stats.insns) / pipelined;
+    }
+    return per_request;
+  };
+  const double at8 = insns_per_request(8);
+  const double at64 = insns_per_request(64);
+  EXPECT_LE(at64, 1.25 * at8) << "8 pipelined: " << at8 << " insns/request, 64: " << at64;
+}
+
 TEST(Loadgen, ClosedLoopCollectsAllLatencies) {
   std::atomic<int> calls{0};
   auto result = vnet::RunClosedLoop(4, 25, [&]() -> double {
@@ -644,7 +839,7 @@ TEST(BurstReplay, MatchesCalibratedSimulatorOnSmallTrace) {
 // --- Echo guest (Figure 4 workload) -----------------------------------------------
 
 TEST(Echo, GuestEchoesAndReportsMilestones) {
-  auto image = vcc::CompileProgram(vrt::VlibcSource() + vnet::EchoHandlerSource(), "main",
+  auto image = vcc::CompileProgram(vrt::VlibcSource() + vrt::EchoMilestonesSource(), "main",
                                    vrt::Env::kProt32);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
   wasp::Runtime runtime;
