@@ -10,6 +10,16 @@
 // OpenWhisk-style cold/warm starts (DESIGN.md S2) — the comparison
 // baseline.  Both halves share the same arrival trace (same generator,
 // same seed), so the timelines compare bucket for bucket.
+//
+// Gates: the replay serves every arrival, and its cold starts fall in
+// 1..lanes — the first invocation boots, and no more than `lanes` can be
+// in flight before the first snapshot is published.  How many of the
+// lanes race to that snapshot varies from run to run.
+//
+//   ./fig15_serverless           # full run
+//   ./fig15_serverless --quick   # CI smoke (every phase 1 s, same gates)
+#include <cstring>
+
 #include "bench/bench_util.h"
 #include "src/base/rng.h"
 #include "src/vjs/vjs.h"
@@ -35,7 +45,8 @@ void PrintTimeline(const vnet::SimResult& sim) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
   benchutil::Header(
       "Figure 15: serverless platform under bursty load (virtines vs containers)",
       "the virtine platform sustains bursts with low latency; the container platform "
@@ -51,9 +62,14 @@ int main() {
   }
 
   // Ramp up, burst, dip, burst, ramp down (the paper's Locust profile).
-  const std::vector<vnet::LoadPhase> pattern = {
+  std::vector<vnet::LoadPhase> pattern = {
       {5, 2}, {20, 2}, {120, 3}, {15, 2}, {120, 3}, {20, 2}, {5, 2},
   };
+  if (quick) {
+    for (vnet::LoadPhase& phase : pattern) {
+      phase.duration_s = 1;
+    }
+  }
   constexpr uint64_t kSeed = 42;
   constexpr int kLanes = 8;
 
@@ -89,5 +105,25 @@ int main() {
               static_cast<unsigned long long>(replay->sim.total_requests),
               static_cast<double>(replay->wall_ns) / 1e9,
               static_cast<unsigned long long>(kSeed));
+
+  int failures = 0;
+  const uint64_t arrivals = vnet::GenerateArrivalTrace(pattern, kSeed).size();
+  if (replay->sim.total_requests != arrivals) {
+    std::printf("FAIL: the replay served %llu of %llu arrivals\n",
+                static_cast<unsigned long long>(replay->sim.total_requests),
+                static_cast<unsigned long long>(arrivals));
+    ++failures;
+  }
+  if (replay->sim.total_cold_starts < 1 ||
+      replay->sim.total_cold_starts > static_cast<uint64_t>(kLanes)) {
+    std::printf("FAIL: %llu cold starts, outside 1..%d lanes\n",
+                static_cast<unsigned long long>(replay->sim.total_cold_starts), kLanes);
+    ++failures;
+  }
+  if (failures > 0) {
+    return 1;
+  }
+  std::printf("\nOK: every arrival served; %llu cold starts within 1..%d lanes.\n",
+              static_cast<unsigned long long>(replay->sim.total_cold_starts), kLanes);
   return 0;
 }

@@ -329,8 +329,8 @@ int RunDensityPhase(bool quick) {
   constexpr int kKeys = 64;
   constexpr int kFullCopyCapacity = 6;  // keys the old accounting kept warm
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
-  options.affine_budget_bytes = 6 * kMb;
+  options.pool.mode = wasp::CleanMode::kAsync;
+  options.pool.affine_budget_bytes = 6 * kMb;
   wasp::Runtime runtime(options);
   runtime.pool().Prewarm(runtime.MakeVmConfig(1 * kMb), kKeys + 2);
 
@@ -362,7 +362,7 @@ int RunDensityPhase(bool quick) {
         }
         const uint64_t resident = CheckedResident(runtime.pool(), &failures);
         peak_resident = std::max(peak_resident, resident);
-        if (resident > options.affine_budget_bytes) {
+        if (resident > options.pool.affine_budget_bytes) {
           std::printf("FAIL: round %d key %d parked %llu affine bytes over budget\n",
                       round, k, static_cast<unsigned long long>(resident));
           ++failures;
@@ -419,7 +419,7 @@ int RunDensityPhase(bool quick) {
     const uint64_t evictions = stats.affine_evictions - prev.affine_evictions;
     const uint64_t retired = stats.affine_retired - prev.affine_retired;
     table.AddRow({std::to_string(round), std::to_string(warm_keys),
-                  std::to_string(peak_resident), std::to_string(options.affine_budget_bytes),
+                  std::to_string(peak_resident), std::to_string(options.pool.affine_budget_bytes),
                   std::to_string(evictions), std::to_string(recaptured),
                   std::to_string(retired)});
     // COW density: the whole population fits, so the budget never evicts.
@@ -440,7 +440,7 @@ int RunDensityPhase(bool quick) {
               "under the same %llu MB budget; zero violations, %llu evictions, %llu eager "
               "retirements across %d rounds.\n",
               kKeys, static_cast<double>(kKeys) / kFullCopyCapacity, kFullCopyCapacity,
-              static_cast<unsigned long long>(options.affine_budget_bytes >> 20),
+              static_cast<unsigned long long>(options.pool.affine_budget_bytes >> 20),
               static_cast<unsigned long long>(stats.affine_evictions),
               static_cast<unsigned long long>(stats.affine_retired), rounds);
   if (kKeys < 10 * kFullCopyCapacity) {

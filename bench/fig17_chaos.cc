@@ -151,7 +151,7 @@ int RunContainmentPhase() {
   };
   constexpr size_t kNumKinds = sizeof(kKinds) / sizeof(kKinds[0]);
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   for (size_t i = 0; i < kNumKinds; ++i) {
     options.fault_plan.rules.push_back(
         wasp::FaultPlan::At(kKinds[i], 2 + 2 * i, "victim"));
@@ -266,7 +266,7 @@ vnet::GovernedReplay MeasureStorm(const wasp::FaultPlan& plan, bool quick,
                                   wasp::FaultInjectorStats* inject_stats,
                                   int* failures, vnet::MeasuredTrace* out_trace) {
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   options.fault_plan = plan;
   wasp::Runtime runtime(options);
   vnet::Vespid vespid(&runtime);
@@ -393,7 +393,7 @@ int RunSoakPhase(bool quick, bool soak) {
 
   constexpr int kLanes = 4;
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   // A mild background fault rate on both soak keys: the quarantine path must
   // cycle continuously, not once.
   options.fault_plan.seed = 7;
@@ -465,7 +465,10 @@ int RunSoakPhase(bool quick, bool soak) {
     CheckExecutorConservation(exec_stats, &failures);
     const uint64_t census =
         runtime.pool().TotalFreeShells() + runtime.pool().TotalAffineShells();
-    table.AddRow({std::to_string(round), std::to_string(replay->sim.total_requests),
+    // A faulted arrival is not in the replay's timeline; it was still
+    // replayed as load.
+    table.AddRow({std::to_string(round),
+                  std::to_string(replay->sim.total_requests + replay->faulted_invocations),
                   std::to_string(replay->faulted_invocations), std::to_string(resident),
                   std::to_string(census), std::to_string(pool_stats.quarantined_now),
                   std::to_string(exec_stats.queued), std::to_string(exec_stats.in_flight)});

@@ -22,7 +22,7 @@ namespace {
 double MeasureWasp(wasp::CleanMode mode, const visa::Image& image, int trials,
                    double* wall_ns) {
   wasp::RuntimeOptions options;
-  options.clean_mode = mode;
+  options.pool.mode = mode;
   wasp::Runtime runtime(options);
   wasp::VirtineSpec spec;
   spec.image = &image;

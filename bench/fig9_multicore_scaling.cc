@@ -72,7 +72,7 @@ struct ConfigResult {
 ConfigResult RunConfig(const std::string& name, wasp::CleanMode mode, bool use_snapshot,
                        const visa::Image& image, int invocations) {
   wasp::RuntimeOptions options;
-  options.clean_mode = mode;
+  options.pool.mode = mode;
   wasp::Runtime runtime(options);
 
   wasp::VirtineSpec spec;

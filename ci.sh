@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + ctest in one command.
 #
-#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/16/17 smokes
+#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/15/16/17 smokes
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -94,6 +94,11 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # mismatch, or if HTTP keep-alive stops paying (snapshot-mode socket RPS at
 # 8 requests/connection must beat connection-per-request).
 (cd "$BUILD_DIR" && ./fig13_http_server --quick)
+# Serverless replay smoke: fig15 on a shortened bursty pattern over the same
+# 8 lanes; fails (non-zero) unless the replay serves every arrival and its
+# cold starts fall in 1..lanes (only the invocations in flight before the
+# first snapshot is published can boot cold).
+(cd "$BUILD_DIR" && ./fig15_serverless --quick)
 # Governance smoke: the fig16 gates on a shortened trace — per-key quota
 # bounds the interactive key's p99 queue wait within 2x of isolation at
 # <10% aggregate RPS cost, COW extents keep 64 keys warm (>10x the
@@ -125,4 +130,4 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
-echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 5 bench smokes"
+echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 6 bench smokes"

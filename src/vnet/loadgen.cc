@@ -210,6 +210,10 @@ double LaneSchedule::Place(double earliest_start_us, double service_us) {
   return done;
 }
 
+double LaneSchedule::EarliestFree() const {
+  return *std::min_element(lane_free_us_.begin(), lane_free_us_.end());
+}
+
 LoadResult ClosedLoopVirtualTime(int clients, int lanes,
                                  const std::vector<double>& services_us) {
   LoadResult result;

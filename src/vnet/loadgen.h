@@ -71,16 +71,20 @@ struct SocketLoadOptions {
 // latencies_us.size() / wall_seconds is the measured socket RPS.
 LoadResult RunSocketClosedLoop(const SocketLoadOptions& options);
 
-// Virtual-time lane scheduler shared by the closed loop below and the
-// Figure 15 replay: each placed request starts on the earliest-free of N
-// serving lanes, no earlier than its own earliest-start time, and occupies
-// the lane for its service time.  One implementation, so the fig13 and
-// fig15 currencies cannot drift.
+// Virtual-time lane scheduler: each placed request starts on the
+// earliest-free of N serving lanes, no earlier than its own earliest-start
+// time, and occupies the lane for its service time.  It is the one lane
+// placement of the virtual-time paths: fig13's closed loop below and
+// GovernTrace (serverless.h), which also replays Figure 15 and the fig16/
+// fig17 governance runs.  One implementation, so their currencies cannot
+// drift.
 class LaneSchedule {
  public:
   explicit LaneSchedule(int lanes);
   // Returns the request's completion time (start + service).
   double Place(double earliest_start_us, double service_us);
+  // When the lane the next Place would use frees up.
+  double EarliestFree() const;
 
  private:
   std::vector<double> lane_free_us_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -12,7 +11,6 @@
 
 #include "src/base/clock.h"
 #include "src/base/log.h"
-#include "src/base/rng.h"
 #include "src/vcc/vcc.h"
 #include "src/vjs/vjs.h"
 #include "src/vrt/vlibc.h"
@@ -59,17 +57,6 @@ wasp::VirtineSpec MakeVespidSpec(const std::string& name, const visa::Image* ima
   spec.crt_snapshot = false;  // the engine snapshots itself after init
   spec.input = payload;
   return spec;
-}
-
-Vespid::Invocation MakeInvocation(wasp::RunOutcome&& outcome) {
-  Vespid::Invocation inv;
-  inv.output = std::move(outcome.output);
-  inv.modeled_cycles = outcome.stats.total_cycles;
-  inv.wall_ns = outcome.stats.total_ns;
-  inv.cold = !outcome.stats.restored_snapshot;
-  inv.affine = outcome.stats.affine_restore;
-  inv.restored_bytes = outcome.stats.restored_bytes;
-  return inv;
 }
 
 // One served request on the virtual timeline, however its completion time
@@ -136,131 +123,55 @@ vbase::Result<Vespid::Invocation> Vespid::Invoke(const std::string& name,
   if (!outcome.status.ok()) {
     return outcome.status;
   }
-  Invocation inv = MakeInvocation(std::move(outcome));
+  Invocation inv;
+  inv.output = std::move(outcome.output);
+  inv.modeled_cycles = outcome.stats.total_cycles;
   inv.wall_ns = timer.ElapsedNanos();
+  inv.cold = !outcome.stats.restored_snapshot;
+  inv.affine = outcome.stats.affine_restore;
+  inv.restored_bytes = outcome.stats.restored_bytes;
   return inv;
-}
-
-vbase::Result<Vespid::BatchResult> Vespid::InvokeBatch(
-    const std::string& name, const std::vector<std::vector<uint8_t>>& payloads,
-    int concurrency) {
-  const Fn* fn = FindFunction(name);
-  if (fn == nullptr) {
-    return vbase::NotFound("no such function: " + name);
-  }
-  std::vector<wasp::VirtineSpec> specs;
-  specs.reserve(payloads.size());
-  for (const std::vector<uint8_t>& payload : payloads) {
-    specs.push_back(MakeVespidSpec(fn->name, &fn->image, &payload));
-  }
-  wasp::Executor::BatchStats stats;
-  std::vector<wasp::RunOutcome> outcomes =
-      wasp::Executor::Run(runtime_, specs, concurrency, &stats);
-  BatchResult batch;
-  batch.invocations.reserve(outcomes.size());
-  for (wasp::RunOutcome& outcome : outcomes) {
-    if (!outcome.status.ok()) {
-      return outcome.status;
-    }
-    batch.invocations.push_back(MakeInvocation(std::move(outcome)));
-  }
-  batch.wall_ns = stats.wall_ns;
-  batch.makespan_cycles = stats.MakespanCycles();
-  return batch;
 }
 
 vbase::Result<Vespid::ReplayResult> Vespid::ReplayBurstyLoad(
     const std::string& name, const std::vector<LoadPhase>& phases,
     const std::vector<uint8_t>& payload, const ReplayOptions& options) {
-  const Fn* fn = FindFunction(name);
-  if (fn == nullptr) {
-    return vbase::NotFound("no such function: " + name);
+  // Measure one real invocation per arrival (a one-tenant trace keeps the
+  // seed: tenant 0's trace uses seed + 0), then replay it ungoverned.
+  auto trace = MeasureMultiTenant({TenantSpec{name, phases, wasp::KeyClass::kLatency, payload}},
+                                  options.concurrency, options.seed, options.pace_wall_clock);
+  if (!trace.ok()) {
+    return trace.status();
   }
-  const std::vector<double> arrivals = GenerateArrivalTrace(phases, options.seed);
-  const int lanes = std::max(options.concurrency, 1);
-
-  // --- Measure: one real invocation per trace arrival -----------------------
-  // Every request goes through the executor (bounded worker pool, keyed
-  // snapshot affinity), so pool contention, snapshot restores, and the cold
-  // first touch are the real platform's, not a model's.  Dispatch is open
-  // loop: all requests are submitted up front, in arrival order.
-  vbase::WallTimer timer;
+  wasp::ExecutorOptions ungoverned;
+  ungoverned.workers = options.concurrency;
   ReplayResult replay;
-  std::vector<double> service_us;
-  std::vector<bool> cold;
-  {
-    wasp::Executor executor(runtime_, wasp::ExecutorOptions{lanes, 0, true});
-    std::vector<std::future<wasp::RunOutcome>> futures;
-    futures.reserve(arrivals.size());
-    const auto pace_origin = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < arrivals.size(); ++i) {
-      if (options.pace_wall_clock) {
-        // Soak mode: dispatch each arrival at its trace offset on the real
-        // clock instead of submitting the whole trace up front.
-        std::this_thread::sleep_until(
-            pace_origin + std::chrono::microseconds(static_cast<int64_t>(arrivals[i])));
-      }
-      futures.push_back(executor.Submit(MakeVespidSpec(fn->name, &fn->image, &payload)));
-    }
-    service_us.reserve(futures.size());
-    cold.reserve(futures.size());
-    double warm_sum = 0;
-    double cold_sum = 0;
-    uint64_t warm_count = 0;
-    for (std::future<wasp::RunOutcome>& f : futures) {
-      wasp::RunOutcome outcome = f.get();
-      if (outcome.fault != wasp::FaultKind::kNone) {
-        // One invocation died (chaos or a real guest fault); the platform
-        // did not.  It still occupied a lane for its measured service, so it
-        // replays as load — but a fault-shortened run must not skew the
-        // warm/cold service means.
-        ++replay.faulted_invocations;
-        service_us.push_back(vbase::CyclesToMicros(outcome.stats.total_cycles));
-        cold.push_back(!outcome.stats.restored_snapshot);
-        continue;
-      }
-      if (!outcome.status.ok()) {
-        return outcome.status;
-      }
-      const double us = vbase::CyclesToMicros(outcome.stats.total_cycles);
-      const bool was_cold = !outcome.stats.restored_snapshot;
-      service_us.push_back(us);
-      cold.push_back(was_cold);
-      if (was_cold) {
-        ++replay.cold_invocations;
-        cold_sum += us;
-      } else {
-        ++warm_count;
-        warm_sum += us;
-      }
-    }
-    replay.measured_warm_us = warm_count > 0 ? warm_sum / static_cast<double>(warm_count) : 0;
-    replay.measured_cold_us =
-        replay.cold_invocations > 0 ? cold_sum / static_cast<double>(replay.cold_invocations)
-                                    : 0;
-  }
-  replay.wall_ns = timer.ElapsedNanos();
+  replay.sim = GovernTrace(*trace, ungoverned).sim;
+  replay.wall_ns = trace->wall_ns;
 
-  // --- Assemble: measured services on the trace's virtual timeline ----------
-  // `lanes` serving lanes in virtual time, FIFO in arrival order: request i
-  // starts at max(arrival, earliest lane free) and occupies its lane for its
-  // *measured* service time (a cold invocation's measured cost already
-  // carries the boot-instead-of-restore extra).  The lane discipline is the
-  // shared LaneSchedule (fig13's closed loop uses the same one); bucketing
-  // is shared with SimulateBurstyLoad via AssembleSimResult.
-  LaneSchedule schedule(lanes);
-  std::vector<ServedEvent> events;
-  events.reserve(arrivals.size());
-  for (size_t i = 0; i < arrivals.size(); ++i) {
-    events.push_back(
-        ServedEvent{arrivals[i], schedule.Place(arrivals[i], service_us[i]), cold[i]});
+  double warm_sum = 0;
+  double cold_sum = 0;
+  uint64_t warm_count = 0;
+  for (size_t i = 0; i < trace->service_us.size(); ++i) {
+    if (trace->faulted[i]) {
+      ++replay.faulted_invocations;
+    } else if (trace->cold[i]) {
+      ++replay.cold_invocations;
+      cold_sum += trace->service_us[i];
+    } else {
+      ++warm_count;
+      warm_sum += trace->service_us[i];
+    }
   }
-  replay.sim = AssembleSimResult(events);
+  replay.measured_warm_us = warm_count > 0 ? warm_sum / static_cast<double>(warm_count) : 0;
+  replay.measured_cold_us =
+      replay.cold_invocations > 0 ? cold_sum / static_cast<double>(replay.cold_invocations) : 0;
   return replay;
 }
 
 vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<TenantSpec>& tenants,
-                                                        int concurrency, uint64_t seed) {
+                                                        int concurrency, uint64_t seed,
+                                                        bool pace_wall_clock) {
   if (tenants.empty()) {
     return vbase::InvalidArgument("MeasureMultiTenant needs at least one tenant");
   }
@@ -294,17 +205,25 @@ vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<Tenant
     trace.tenant.push_back(idx);
   }
 
-  // One real invocation per merged arrival, in arrival order: the mixed
+  // One real invocation per merged arrival, in arrival order, through the
+  // executor (bounded worker pool, keyed snapshot affinity): the mixed
   // snapshot keys contend for pool shells and affine generations exactly as
   // the production mix would, so each request's measured modeled service
-  // carries real cross-tenant restore effects (affine hit vs full copy).
+  // carries real pool contention and restore effects (affine hit vs full
+  // copy, the cold first touch).  Dispatch is open loop: all requests are
+  // submitted up front unless paced on the wall clock.
   vbase::WallTimer timer;
   {
     wasp::Executor executor(runtime_,
                             wasp::ExecutorOptions{std::max(concurrency, 1), 0, true});
     std::vector<std::future<wasp::RunOutcome>> futures;
     futures.reserve(merged.size());
+    const auto pace_origin = std::chrono::steady_clock::now();
     for (const auto& [at, idx] : merged) {
+      if (pace_wall_clock) {
+        std::this_thread::sleep_until(pace_origin +
+                                      std::chrono::microseconds(static_cast<int64_t>(at)));
+      }
       const size_t t = static_cast<size_t>(idx);
       futures.push_back(executor.Submit(
           MakeVespidSpec(fns[t]->name, &fns[t]->image, &tenants[t].payload),
@@ -335,7 +254,6 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptio
   VB_CHECK(options.max_queue_depth == 0 || !options.block_when_full,
            "GovernTrace replays the reject policy only: a bounded queue needs "
            "block_when_full = false");
-  const int lanes = std::max(options.workers, 1);
   const size_t n = trace.arrivals_us.size();
   GovernedReplay replay;
   replay.tenants.resize(trace.names.size());
@@ -350,7 +268,7 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptio
   // arithmetic over the measured services, so a trace governs identically
   // every time.
   wasp::AdmissionPolicy policy(options);
-  std::vector<double> lane_free(static_cast<size_t>(lanes), 0.0);
+  LaneSchedule schedule(options.workers);
   std::deque<size_t> queues[2];  // by KeyClass, request indices in arrival order
   // (done_us, tenant, faulted, probe) — faulted/probe ride along so each
   // virtual completion can feed the breaker.
@@ -378,19 +296,12 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptio
   // Dispatches queued requests onto lanes that free up strictly before
   // `horizon` (infinity for the final drain).
   auto dispatch_until = [&](double horizon) {
-    while (!queues[0].empty() || !queues[1].empty()) {
-      const size_t lane = static_cast<size_t>(
-          std::min_element(lane_free.begin(), lane_free.end()) - lane_free.begin());
-      if (lane_free[lane] >= horizon) {
-        break;
-      }
+    while ((!queues[0].empty() || !queues[1].empty()) && schedule.EarliestFree() < horizon) {
       const size_t cls = policy.PickClass(head(queues[0]), head(queues[1]));
       const size_t idx = queues[cls].front();
       queues[cls].pop_front();
-      const double start = std::max(lane_free[lane], trace.arrivals_us[idx]);
-      start_us[idx] = start;
-      done_us[idx] = start + trace.service_us[idx];
-      lane_free[lane] = done_us[idx];
+      start_us[idx] = std::max(schedule.EarliestFree(), trace.arrivals_us[idx]);
+      done_us[idx] = schedule.Place(trace.arrivals_us[idx], trace.service_us[idx]);
       const bool faulted = idx < trace.faulted.size() && trace.faulted[idx];
       completions.emplace(done_us[idx], static_cast<size_t>(trace.tenant[idx]), faulted,
                           is_probe[idx] != 0);

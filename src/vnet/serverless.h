@@ -9,14 +9,18 @@
 // cold-start and warm-start service costs are constants calibrated to
 // published container cold-start measurements.
 //
-// The *virtine* platform is measured, not modeled: ReplayBurstyLoad drives
-// the paper's bursty open-loop pattern (ramp up, two bursts, ramp down —
-// the Locust profile) through the real wasp::Executor, one virtine
-// invocation per trace arrival, and lays the measured per-request service
-// costs onto the trace's virtual timeline.  Both platforms emit the same
-// SimResult currency over the same arrival trace (vnet::GenerateArrivalTrace
-// with the same seed), so Figure 15 compares a measured virtine platform
-// against the calibrated container baseline bucket for bucket.
+// The *virtine* platform is measured, not modeled, in two steps shared by
+// every measured figure.  Vespid::MeasureMultiTenant drives an arrival
+// trace through the real wasp::Executor, one virtine invocation per
+// arrival, and records each one's modeled service, cold flag and fault
+// flag.  GovernTrace then places those services on virtual lanes
+// (LaneSchedule) under an optional admission policy.  ReplayBurstyLoad is
+// Figure 15's pairing of the two: the paper's bursty open-loop pattern
+// (ramp up, two bursts, ramp down — the Locust profile) as one tenant,
+// replayed ungoverned.  Both platforms emit the same SimResult currency
+// over the same arrival trace (vnet::GenerateArrivalTrace with the same
+// seed), so Figure 15 compares a measured virtine platform against the
+// calibrated container baseline bucket for bucket.
 #ifndef SRC_VNET_SERVERLESS_H_
 #define SRC_VNET_SERVERLESS_H_
 
@@ -63,6 +67,8 @@ struct ExecutorModel {
 
 // Runs the open-loop pattern against an executor model in virtual time
 // (the container baseline; the virtine side uses Vespid::ReplayBurstyLoad).
+// It keeps its own loop: its instances spawn cold under a cap and are
+// reclaimed when idle, which lane placement does not model.
 SimResult SimulateBurstyLoad(const std::vector<LoadPhase>& phases, const ExecutorModel& model,
                              uint64_t seed = 42);
 
@@ -137,9 +143,12 @@ struct GovernedReplay {
 // Only the open-loop reject policy is replayed: a bounded queue with
 // block_when_full set is a checked error.  Retry is not replayed either —
 // it changes the measured services, so it belongs to the measuring run.
-// Lanes dequeue FIFO within a class.  That is exactly a one-worker
-// executor's order (a single worker skips the keyed affinity scan); with
-// more lanes the scan is not modeled.
+// Lanes dequeue FIFO within a class onto the earliest-free lane
+// (LaneSchedule).  That is exactly a one-worker executor's order (a single
+// worker skips the keyed affinity scan); with more lanes the scan is not
+// modeled.  With no governance set (the ExecutorOptions defaults: no quota,
+// unbounded queue, breaker off) and one class, this is plain FIFO lane
+// placement in arrival order.
 GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptions& options);
 
 // --- Vespid: virtine-backed function platform -------------------------------
@@ -147,10 +156,7 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const wasp::ExecutorOptio
 struct ReplayOptions {
   int concurrency = 8;  // executor lanes = the platform's serving width
   uint64_t seed = 42;   // must match the simulator's to share the trace
-  // Pace submissions on the real clock (sleep until each arrival's trace
-  // offset) instead of dispatching the whole trace up front.  Soak-style
-  // runs only: wall pacing makes the measured contention timing-dependent,
-  // so it stays off for the deterministic benches.
+  // Passed to MeasureMultiTenant: pace submissions on the real clock.
   bool pace_wall_clock = false;
 };
 
@@ -174,56 +180,45 @@ class Vespid {
   vbase::Result<Invocation> Invoke(const std::string& name,
                                    const std::vector<uint8_t>& payload);
 
-  struct BatchResult {
-    std::vector<Invocation> invocations;   // in payload order
-    uint64_t wall_ns = 0;                  // real elapsed time of the batch
-    uint64_t makespan_cycles = 0;          // modeled busiest-lane cycles
-  };
-
-  // Invokes `name` once per payload, running up to `concurrency` virtines
-  // at a time on the wasp::Executor (the platform's burst-serving path).
-  // Fails if any individual invocation fails.
-  vbase::Result<BatchResult> InvokeBatch(const std::string& name,
-                                         const std::vector<std::vector<uint8_t>>& payloads,
-                                         int concurrency);
-
   struct ReplayResult {
     // Same timeline currency as SimulateBurstyLoad: per-request latency is
     // virtual queue wait plus the *measured* modeled service cost of that
     // request's real invocation, with cold starts flagged from the real
     // snapshot path (a request is cold iff its invocation found no snapshot
-    // and booted from the image).
+    // and booted from the image).  GovernTrace's rule for faults holds: a
+    // faulted arrival occupies its lane but is not in `sim`, so
+    // sim.total_requests + faulted_invocations is the arrival count.
     SimResult sim;
-    double measured_warm_us = 0;   // mean measured service of warm invocations
-    double measured_cold_us = 0;   // mean measured service of cold invocations
-    uint64_t cold_invocations = 0;
-    // Invocations that died with a FaultKind (chaos injection): they still
-    // occupy their virtual lane for their measured service (the shell was
-    // quarantined after real work), but are excluded from the warm/cold
-    // service means so fault-shortened runs cannot skew them.
-    uint64_t faulted_invocations = 0;
-    uint64_t wall_ns = 0;          // real elapsed time of the replay
+    // Means over fault-free invocations only, so fault-shortened runs
+    // cannot skew them.
+    double measured_warm_us = 0;       // mean measured service of warm invocations
+    double measured_cold_us = 0;       // mean measured service of cold invocations
+    uint64_t cold_invocations = 0;     // fault-free invocations that booted
+    uint64_t faulted_invocations = 0;  // died with a FaultKind (e.g. chaos)
+    uint64_t wall_ns = 0;              // real elapsed time of the measuring run
   };
 
-  // Replays the bursty arrival trace with one *real* executor-driven
-  // invocation per arrival: submits every request to a wasp::Executor with
-  // `concurrency` workers (keyed snapshot affinity engaged), measures each
-  // invocation's modeled service cost and cold/warm outcome, then assembles
-  // the Figure 15 timeline by queueing those measured services over
-  // `concurrency` serving lanes at the trace's virtual arrival times.
+  // Figure 15's replay: MeasureMultiTenant over one latency-class tenant
+  // (`name`, `phases`, `payload`) with `concurrency` executor workers, then
+  // GovernTrace with no governance over `concurrency` virtual lanes.
   vbase::Result<ReplayResult> ReplayBurstyLoad(const std::string& name,
                                                const std::vector<LoadPhase>& phases,
                                                const std::vector<uint8_t>& payload,
                                                const ReplayOptions& options = {});
 
-  // Merges every tenant's arrival trace (per-tenant seed derived from
-  // `seed`) and drives one real executor invocation per arrival in merged
-  // order — mixed snapshot keys contending for shells and affine
-  // generations — recording each arrival's measured modeled service cost
-  // and cold/warm outcome.  The result feeds GovernTrace, which evaluates
-  // admission disciplines over it deterministically.
+  // Merges every tenant's arrival trace (tenant i uses seed + i) and drives
+  // one real invocation per arrival in merged order through a
+  // wasp::Executor with `concurrency` workers — mixed snapshot keys
+  // contending for shells and affine generations — recording each
+  // arrival's measured modeled service cost, cold/warm outcome and fault.
+  // This is the only measuring loop; GovernTrace evaluates lane placement
+  // and admission over its result deterministically.  `pace_wall_clock`
+  // sleeps until each arrival's trace offset before submitting it instead
+  // of dispatching the whole trace up front.  Soak-style runs only: wall
+  // pacing makes the measured contention timing-dependent.
   vbase::Result<MeasuredTrace> MeasureMultiTenant(const std::vector<TenantSpec>& tenants,
-                                                  int concurrency, uint64_t seed = 42);
+                                                  int concurrency, uint64_t seed = 42,
+                                                  bool pace_wall_clock = false);
 
  private:
   struct Fn {

@@ -16,21 +16,10 @@ namespace {
 constexpr uint64_t kMaxIoLen = 1ULL << 24;        // 16 MB
 constexpr uint64_t kMaxPathLen = 4096;
 
-PoolOptions MakePoolOptions(const RuntimeOptions& options) {
-  PoolOptions pool;
-  pool.mode = options.clean_mode;
-  pool.shards = options.pool_shards;
-  pool.cleaners = options.pool_cleaners;
-  pool.lanes = options.pool_lanes;
-  pool.numa_nodes = options.pool_numa_nodes;
-  pool.affine_budget_bytes = options.affine_budget_bytes;
-  return pool;
-}
-
 }  // namespace
 
 Runtime::Runtime(RuntimeOptions options)
-    : options_(std::move(options)), pool_(MakePoolOptions(options_)) {
+    : options_(std::move(options)), pool_(options_.pool) {
   if (!options_.fault_plan.empty()) {
     injector_ = std::make_unique<FaultInjector>(options_.fault_plan);
   }

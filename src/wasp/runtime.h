@@ -170,15 +170,10 @@ struct VirtineSpec {
 };
 
 struct RuntimeOptions {
-  CleanMode clean_mode = CleanMode::kSync;
+  // The shell pool's options (cleaning mode, shards, cleaner crew, lanes,
+  // NUMA nodes, affine resident-byte budget), passed to the pool as is.
+  PoolOptions pool;
   vkvm::VmConfig vm_defaults;
-  // Shell-pool scale-out knobs (defaults follow PoolOptions).
-  int pool_shards = PoolOptions{}.shards;
-  int pool_cleaners = PoolOptions{}.cleaners;
-  // Per-lane shell-cache slots (<= 0 auto-sizes to max(16, 2*shards)) and
-  // modeled NUMA nodes for the lane→shard→node placement map.
-  int pool_lanes = PoolOptions{}.lanes;
-  int pool_numa_nodes = PoolOptions{}.numa_nodes;
   // Worker threads of the executor backing InvokeAsync (0 = pick from
   // hardware concurrency).
   int async_workers = 0;
@@ -187,9 +182,6 @@ struct RuntimeOptions {
   // every warm restore pays the full image copy (the paper's simple
   // snapshotting strategy) — kept as a knob for A/B benchmarking.
   bool snapshot_affinity = true;
-  // Resident-byte budget for the pool's parked snapshot-affine shells
-  // (generation-LRU eviction when exceeded); 0 = unlimited.
-  uint64_t affine_budget_bytes = 0;
   // Snapshot-chain governance for RecaptureSnapshot: a re-capture whose
   // chain would exceed `chain_max_depth` layers, or whose total chain bytes
   // exceed `chain_flatten_slack` × the flattened view size, is flattened

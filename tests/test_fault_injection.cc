@@ -2,8 +2,9 @@
 // FaultKind classifies end-to-end on RunOutcome, the injector replays the
 // same schedule for the same plan, a faulted shell is quarantined (scrubbed
 // by the crew, never re-parked affine, never leaked), the executor's
-// accounting invariant holds through fault storms, and GovernTrace counts
-// faulted arrivals as casualties rather than completions.
+// accounting invariant holds through fault storms, and GovernTrace (and
+// ReplayBurstyLoad, which replays through it) counts faulted arrivals as
+// casualties rather than completions.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/vjs/vjs.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
 #include "src/vrt/samples.h"
@@ -62,7 +64,7 @@ wasp::VirtineSpec FibSpec(const visa::Image* image, const std::string& key) {
 wasp::RuntimeOptions PlanOptions(wasp::FaultPlan plan,
                                  wasp::CleanMode mode = wasp::CleanMode::kSync) {
   wasp::RuntimeOptions options;
-  options.clean_mode = mode;
+  options.pool.mode = mode;
   options.fault_plan = std::move(plan);
   return options;
 }
@@ -510,6 +512,54 @@ TEST(GovernTraceFaults, EmptyFaultedVectorMeansAllClean) {
   EXPECT_EQ(replay.tenants[0].completed, 2u);
   EXPECT_EQ(replay.tenants[0].faulted, 0u);
   EXPECT_EQ(replay.tenants[1].completed, 2u);
+}
+
+// ReplayBurstyLoad replays through GovernTrace, so one killed invocation
+// occupies its lane but is not a served request, and the warm/cold service
+// means cover the fault-free invocations only.  One worker keeps the
+// measured services deterministic, so a second run of the same plan through
+// MeasureMultiTenant gives the per-arrival services the means must match.
+TEST(GovernTraceFaults, ReplayBurstyLoadLeavesAKilledInvocationOutOfServed) {
+  wasp::FaultPlan plan;
+  plan.rules.push_back(wasp::FaultPlan::At(wasp::FaultKind::kGuestTrap, 3));
+  const std::vector<vnet::LoadPhase> phases = {{20, 0.5}};  // 10 arrivals
+  const std::vector<uint8_t> payload(48, 5);
+  constexpr uint64_t kSeed = 9;
+
+  wasp::Runtime runtime(PlanOptions(plan));
+  vnet::Vespid vespid(&runtime);
+  ASSERT_TRUE(vespid.Register("b64", vjs::Base64ScriptSource()).ok());
+  vnet::ReplayOptions options;
+  options.concurrency = 1;
+  options.seed = kSeed;
+  auto replay = vespid.ReplayBurstyLoad("b64", phases, payload, options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  const uint64_t arrivals = vnet::GenerateArrivalTrace(phases, kSeed).size();
+  ASSERT_EQ(arrivals, 10u);
+  EXPECT_EQ(replay->faulted_invocations, 1u);
+  EXPECT_EQ(replay->sim.total_requests, arrivals - 1);
+  EXPECT_EQ(replay->cold_invocations, 1u);
+
+  wasp::Runtime twin_runtime(PlanOptions(plan));
+  vnet::Vespid twin(&twin_runtime);
+  ASSERT_TRUE(twin.Register("b64", vjs::Base64ScriptSource()).ok());
+  auto trace = twin.MeasureMultiTenant(
+      {vnet::TenantSpec{"b64", phases, wasp::KeyClass::kLatency, payload}}, 1, kSeed);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  ASSERT_EQ(trace->faulted.size(), arrivals);
+  ASSERT_TRUE(trace->faulted[3]);
+  double warm_sum = 0;
+  double cold_sum = 0;
+  for (size_t i = 0; i < arrivals; ++i) {
+    if (trace->faulted[i]) {
+      continue;
+    }
+    (trace->cold[i] ? cold_sum : warm_sum) += trace->service_us[i];
+  }
+  EXPECT_DOUBLE_EQ(replay->measured_cold_us, cold_sum);
+  EXPECT_DOUBLE_EQ(replay->measured_warm_us, warm_sum / 8.0);
+  // The killed invocation died early: counting it would have moved the mean.
+  EXPECT_LT(trace->service_us[3], 0.5 * replay->measured_warm_us);
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -166,7 +168,7 @@ TEST(Retire, RuntimeRetireSnapshotRecapturesUnderBudgetInALoop) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
-  options.affine_budget_bytes = 4 * kMb;
+  options.pool.affine_budget_bytes = 4 * kMb;
   wasp::Runtime runtime(options);
 
   wasp::VirtineSpec spec;
@@ -189,7 +191,7 @@ TEST(Retire, RuntimeRetireSnapshotRecapturesUnderBudgetInALoop) {
     EXPECT_NE(snap->generation, last_generation) << "round " << round;
     last_generation = snap->generation;
     EXPECT_LE(runtime.pool().stats().affine_resident_bytes,
-              options.affine_budget_bytes);
+              options.pool.affine_budget_bytes);
 
     // Retire: the store forgets the key and the parked shells are reclaimed
     // eagerly — nothing is left stranded under the dead generation.
@@ -345,6 +347,128 @@ TEST(GovernTrace, KeyQuotaOverridesResolveTiersOverOneFlood) {
   // Differentiated admission shows up in the fairness index (< 1 by design).
   EXPECT_LT(replay.fairness_index, 1.0);
   EXPECT_GT(replay.fairness_index, 0.0);
+}
+
+// --- Differential: ungoverned GovernTrace vs LaneSchedule --------------------
+//
+// With no quota, no bound, the breaker off and one class, GovernTrace must
+// reduce to FIFO placement on the earliest-free lane — the LaneSchedule
+// discipline fig13's closed loop uses.  The reference below places each
+// arrival in order with LaneSchedule and buckets the result independently,
+// so every timeline bucket and the latency summary must agree exactly.
+
+// A seeded ungoverned trace: 1-3 latency-class tenants, 1-300 arrivals over
+// a few seconds, random services and cold flags.  Every third seed snaps
+// times to whole milliseconds, so completions tie with arrivals.
+vnet::MeasuredTrace MakeUngovernedTrace(uint64_t seed) {
+  vbase::Rng rng(seed);
+  vnet::MeasuredTrace trace;
+  const size_t tenants = 1 + rng.Below(3);
+  for (size_t t = 0; t < tenants; ++t) {
+    trace.names.push_back("t" + std::to_string(t));
+    trace.classes.push_back(wasp::KeyClass::kLatency);
+  }
+  const bool snap = seed % 3 == 0;
+  auto draw = [&](double max_us) {
+    const double us = rng.NextDouble() * max_us;
+    return snap ? std::floor(us / 1000.0) * 1000.0 : us;
+  };
+  const size_t n = 1 + rng.Below(300);
+  const double service_scale = 1000.0 + draw(60000.0);
+  double t = 0;
+  for (size_t i = 0; i < n; ++i) {
+    t += draw(40000.0);
+    trace.arrivals_us.push_back(t);
+    trace.tenant.push_back(static_cast<int>(rng.Below(tenants)));
+    trace.service_us.push_back(1.0 + draw(service_scale));
+    trace.cold.push_back(rng.Below(8) == 0);
+  }
+  return trace;
+}
+
+// The reference: LaneSchedule placement in arrival order, then 1 s buckets
+// keyed by arrival (offered, mean/p99 latency, cold starts) and by
+// completion (completed).
+vnet::SimResult LaneScheduleReference(const vnet::MeasuredTrace& trace, int lanes) {
+  vnet::LaneSchedule schedule(lanes);
+  std::map<int64_t, vnet::SimPoint> buckets;
+  std::map<int64_t, std::vector<double>> bucket_latencies;
+  std::vector<double> latencies;
+  vnet::SimResult sim;
+  for (size_t i = 0; i < trace.arrivals_us.size(); ++i) {
+    const double arrival = trace.arrivals_us[i];
+    const double done = schedule.Place(arrival, trace.service_us[i]);
+    const double latency = done - arrival;
+    const int64_t bucket = static_cast<int64_t>(arrival / 1e6);
+    vnet::SimPoint& point = buckets[bucket];
+    point.t_s = static_cast<double>(bucket);
+    point.offered_rps += 1;
+    point.mean_latency_us += latency;
+    if (trace.cold[i]) {
+      ++point.cold_starts;
+      ++sim.total_cold_starts;
+    }
+    const int64_t done_bucket = static_cast<int64_t>(done / 1e6);
+    buckets[done_bucket].t_s = static_cast<double>(done_bucket);
+    buckets[done_bucket].completed_rps += 1;
+    bucket_latencies[bucket].push_back(latency);
+    latencies.push_back(latency);
+    ++sim.total_requests;
+  }
+  for (auto& [bucket, point] : buckets) {
+    if (point.offered_rps > 0) {
+      point.mean_latency_us /= point.offered_rps;
+      point.p99_latency_us = vbase::Quantile(bucket_latencies[bucket], 0.99);
+    }
+    sim.timeline.push_back(point);
+  }
+  sim.latency_us = vbase::Summarize(latencies);
+  return sim;
+}
+
+// Empty when the two SimResults agree exactly, else the first difference.
+std::string SimMismatch(const vnet::SimResult& got, const vnet::SimResult& want) {
+  if (got.total_requests != want.total_requests ||
+      got.total_cold_starts != want.total_cold_starts) {
+    return "totals " + std::to_string(got.total_requests) + "/" +
+           std::to_string(got.total_cold_starts) + " vs " +
+           std::to_string(want.total_requests) + "/" + std::to_string(want.total_cold_starts);
+  }
+  if (got.timeline.size() != want.timeline.size()) {
+    return "bucket count " + std::to_string(got.timeline.size()) + " vs " +
+           std::to_string(want.timeline.size());
+  }
+  for (size_t b = 0; b < got.timeline.size(); ++b) {
+    const vnet::SimPoint& g = got.timeline[b];
+    const vnet::SimPoint& w = want.timeline[b];
+    if (g.t_s != w.t_s || g.offered_rps != w.offered_rps ||
+        g.completed_rps != w.completed_rps || g.mean_latency_us != w.mean_latency_us ||
+        g.p99_latency_us != w.p99_latency_us || g.cold_starts != w.cold_starts) {
+      return "bucket t=" + std::to_string(w.t_s);
+    }
+  }
+  const vbase::Summary& g = got.latency_us;
+  const vbase::Summary& w = want.latency_us;
+  if (g.count != w.count || g.mean != w.mean || g.stddev != w.stddev || g.min != w.min ||
+      g.max != w.max || g.p50 != w.p50 || g.p90 != w.p90 || g.p99 != w.p99) {
+    return "latency summary: mean " + std::to_string(g.mean) + " vs " +
+           std::to_string(w.mean) + ", p99 " + std::to_string(g.p99) + " vs " +
+           std::to_string(w.p99);
+  }
+  return {};
+}
+
+TEST(VirtualTime, UngovernedGovernTraceMatchesLaneSchedule) {
+  constexpr uint64_t kSeeds = 500;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const vnet::MeasuredTrace trace = MakeUngovernedTrace(seed);
+    wasp::ExecutorOptions options;
+    options.workers = 1 + static_cast<int>(seed % 8);
+    const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
+    EXPECT_EQ(SimMismatch(replay.sim, LaneScheduleReference(trace, options.workers)), "")
+        << "seed " << seed << ", " << options.workers << " lanes, "
+        << trace.arrivals_us.size() << " arrivals";
+  }
 }
 
 // --- Differential: the live executor vs the GovernTrace replay ---------------

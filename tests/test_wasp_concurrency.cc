@@ -133,7 +133,7 @@ TEST(Concurrency, ConcurrentInvokeComputesCorrectResults) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::Add2Source());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   wasp::Runtime runtime(options);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -219,7 +219,7 @@ TEST(Concurrency, AffineRestoreRaceComputesCorrectResults) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   wasp::Runtime runtime(options);
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -254,7 +254,7 @@ TEST(Concurrency, SnapshotTakeRestoreRaceIsConsistent) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   wasp::Runtime runtime(options);
   const int64_t expected = 55;  // fib(10)
   std::atomic<int> failures{0};
@@ -289,7 +289,7 @@ TEST(Concurrency, ExecutorBatchRunsAllSpecs) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::Add2Source());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   wasp::Runtime runtime(options);
   std::vector<wasp::VirtineSpec> specs;
   for (int i = 0; i < 32; ++i) {
@@ -815,7 +815,7 @@ TEST(Concurrency, InvokeAsyncResolvesFutures) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::Add2Source());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
+  options.pool.mode = wasp::CleanMode::kAsync;
   options.async_workers = 4;
   wasp::Runtime runtime(options);
   std::vector<std::future<wasp::RunOutcome>> futures;
