@@ -16,7 +16,9 @@
 #include "src/base/clock.h"
 #include "src/base/log.h"
 #include "src/base/stats.h"
+#include "src/base/status.h"
 #include "src/base/table.h"
+#include "src/wasp/pool.h"
 
 namespace benchutil {
 
@@ -35,6 +37,23 @@ inline std::string Cycles(double cycles) {
 
 inline std::string Us(double cycles) { return vbase::Fmt(vbase::CyclesToMicros(
     static_cast<uint64_t>(cycles)), 1); }
+
+// Counts a broken accounting law (a non-OK CheckInvariants result) as one
+// gate failure.
+inline void CheckLaws(const vbase::Status& laws, int* failures) {
+  if (!laws.ok()) {
+    std::printf("FAIL: accounting law broken: %s\n", laws.message().c_str());
+    ++*failures;
+  }
+}
+
+// Checks the pool's accounting laws on one stats snapshot (the pool must be
+// quiescent) and returns that snapshot.
+inline wasp::PoolStats CheckPoolLaws(const wasp::Pool& pool, int* failures) {
+  const wasp::PoolStats stats = pool.stats();
+  CheckLaws(wasp::CheckInvariants(stats, pool.affine_accounting()), failures);
+  return stats;
+}
 
 }  // namespace benchutil
 

@@ -130,19 +130,15 @@ void MeasureParkedResident(const wasp::SnapshotRef& snap, uint64_t mem_size, int
     pool.ReleaseAffine(std::move(vm), snap->generation,
                        cow ? snap->chain_byte_size() : 0);
   }
-  const wasp::AffineAccounting acct = pool.affine_accounting();
-  uint64_t sum = 0;
-  for (const auto& gen : acct.generations) {
-    sum += gen.shared_bytes + gen.private_bytes;
-  }
-  VB_CHECK(sum == acct.resident_bytes, "residency gauge conservation violated");
+  const wasp::PoolStats stats = pool.stats();
+  const vbase::Status laws = wasp::CheckInvariants(stats, pool.affine_accounting());
+  VB_CHECK(laws.ok(), laws.ToString());
   if (cow) {
-    point->cow_resident = acct.resident_bytes;
-    const wasp::PoolStats stats = pool.stats();
+    point->cow_resident = stats.affine_resident_bytes;
     point->cow_shared = stats.affine_shared_bytes;
     point->cow_private = stats.affine_private_bytes;
   } else {
-    point->full_resident = acct.resident_bytes;
+    point->full_resident = stats.affine_resident_bytes;
   }
 }
 

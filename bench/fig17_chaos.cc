@@ -33,9 +33,9 @@
 //    pace_wall_clock dispatch plus an executor burst per round, under a mild
 //    background fault rate.  After each round's drain the harness samples
 //    the residency gauge, the quarantine gauge, the shell census, and the
-//    executor's queue gauges.  Gates: executor conservation
-//    (submitted == completed + faulted + queued + in_flight) at every
-//    sample, all gauges return to zero at quiescence, the shell census
+//    executor's queue gauges.  Gates: the pool's and the executor's
+//    accounting laws (wasp::CheckInvariants) at every sample, all gauges
+//    return to zero at quiescence, the shell census
 //    never drifts upward, and retiring the keys at the end releases every
 //    resident byte.
 //
@@ -57,11 +57,9 @@
 //   ./fig17_chaos --quick    # CI smoke (shorter traces, same gates)
 //   ./fig17_chaos --soak     # extended soak rounds (the ci.sh SOAK=1 lane)
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <deque>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -75,63 +73,6 @@
 #include "src/wasp/vfunc.h"
 
 namespace {
-
-// Asserts the residency gauge's conservation invariant on one consistent
-// accounting snapshot; returns the gauge.
-uint64_t CheckedResident(wasp::Pool& pool, int* failures) {
-  const wasp::AffineAccounting acct = pool.affine_accounting();
-  uint64_t sum = 0;
-  for (const auto& gen : acct.generations) {
-    sum += gen.shared_bytes + gen.private_bytes;
-  }
-  if (sum != acct.resident_bytes) {
-    std::printf("FAIL: residency conservation violated (%llu != %llu)\n",
-                static_cast<unsigned long long>(sum),
-                static_cast<unsigned long long>(acct.resident_bytes));
-    ++*failures;
-  }
-  return acct.resident_bytes;
-}
-
-// Asserts the quarantine ledger's conservation invariant (exact at
-// quiescence, which is when the harness samples it).
-void CheckQuarantineLedger(const wasp::PoolStats& stats, int* failures) {
-  if (stats.quarantined !=
-      stats.quarantine_scrubbed + stats.quarantine_destroyed + stats.quarantined_now) {
-    std::printf("FAIL: quarantine conservation violated (%llu != %llu + %llu + %llu)\n",
-                static_cast<unsigned long long>(stats.quarantined),
-                static_cast<unsigned long long>(stats.quarantine_scrubbed),
-                static_cast<unsigned long long>(stats.quarantine_destroyed),
-                static_cast<unsigned long long>(stats.quarantined_now));
-    ++*failures;
-  }
-}
-
-// Waits for the executor's gauges to settle: a future resolves before its
-// worker decrements in_flight, so "all futures done" is not yet quiescence.
-wasp::ExecutorStats QuiescedExecutorStats(const wasp::Executor& executor) {
-  wasp::ExecutorStats stats = executor.stats();
-  for (int spin = 0; spin < 2000 && (stats.queued != 0 || stats.in_flight != 0); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    stats = executor.stats();
-  }
-  return stats;
-}
-
-// Asserts the executor's accounting law on one locked snapshot.
-void CheckExecutorConservation(const wasp::ExecutorStats& stats, int* failures) {
-  if (stats.submitted !=
-      stats.completed + stats.faulted + stats.queued + stats.in_flight) {
-    std::printf("FAIL: executor conservation violated "
-                "(%llu != %llu + %llu + %llu + %llu)\n",
-                static_cast<unsigned long long>(stats.submitted),
-                static_cast<unsigned long long>(stats.completed),
-                static_cast<unsigned long long>(stats.faulted),
-                static_cast<unsigned long long>(stats.queued),
-                static_cast<unsigned long long>(stats.in_flight));
-    ++*failures;
-  }
-}
 
 // --- Phase 1: deterministic containment -------------------------------------
 
@@ -189,7 +130,8 @@ int RunContainmentPhase() {
                   faulted.status.ToString().c_str());
       ++failures;
     }
-    CheckedResident(runtime.pool(), &failures);
+    runtime.pool().DrainCleaner();
+    benchutil::CheckPoolLaws(runtime.pool(), &failures);
     // The follow-up invocation of the same key must still answer correctly,
     // and must not be served by the quarantined shell: the fault consumed
     // the key's parked affine shell, so a correct pool serves this one from
@@ -217,8 +159,7 @@ int RunContainmentPhase() {
 
   // Quiesce and audit the ledgers.
   runtime.pool().DrainCleaner();
-  const wasp::PoolStats stats = runtime.pool().stats();
-  CheckQuarantineLedger(stats, &failures);
+  const wasp::PoolStats stats = benchutil::CheckPoolLaws(runtime.pool(), &failures);
   if (stats.quarantined != kNumKinds) {
     std::printf("FAIL: expected %zu quarantines, counted %llu\n", kNumKinds,
                 static_cast<unsigned long long>(stats.quarantined));
@@ -297,14 +238,13 @@ vnet::GovernedReplay MeasureStorm(const wasp::FaultPlan& plan, bool quick,
   }
 
   runtime.pool().DrainCleaner();
+  const wasp::PoolStats stats = benchutil::CheckPoolLaws(runtime.pool(), failures);
   if (pool_stats != nullptr) {
-    *pool_stats = runtime.pool().stats();
+    *pool_stats = stats;
   }
   if (inject_stats != nullptr && runtime.fault_injector() != nullptr) {
     *inject_stats = runtime.fault_injector()->stats();
   }
-  CheckedResident(runtime.pool(), failures);
-  CheckQuarantineLedger(runtime.pool().stats(), failures);
   return replay;
 }
 
@@ -444,7 +384,7 @@ int RunSoakPhase(bool quick, bool soak) {
     for (int i = 0; i < kBurst; ++i) {
       futures.push_back(executor.Submit(burst_spec));
       if (i % 8 == 0) {
-        CheckExecutorConservation(executor.stats(), &failures);
+        benchutil::CheckLaws(wasp::CheckInvariants(executor.stats()), &failures);
       }
     }
     for (auto& f : futures) {
@@ -458,18 +398,17 @@ int RunSoakPhase(bool quick, bool soak) {
 
     // Quiesce and sample every gauge.
     runtime.pool().DrainCleaner();
-    const wasp::PoolStats pool_stats = runtime.pool().stats();
-    const wasp::ExecutorStats exec_stats = QuiescedExecutorStats(executor);
-    const uint64_t resident = CheckedResident(runtime.pool(), &failures);
-    CheckQuarantineLedger(pool_stats, &failures);
-    CheckExecutorConservation(exec_stats, &failures);
+    const wasp::PoolStats pool_stats = benchutil::CheckPoolLaws(runtime.pool(), &failures);
+    const wasp::ExecutorStats exec_stats = executor.stats();
+    benchutil::CheckLaws(wasp::CheckInvariants(exec_stats), &failures);
     const uint64_t census =
         runtime.pool().TotalFreeShells() + runtime.pool().TotalAffineShells();
     // A faulted arrival is not in the replay's timeline; it was still
     // replayed as load.
     table.AddRow({std::to_string(round),
                   std::to_string(replay->sim.total_requests + replay->faulted_invocations),
-                  std::to_string(replay->faulted_invocations), std::to_string(resident),
+                  std::to_string(replay->faulted_invocations),
+                  std::to_string(pool_stats.affine_resident_bytes),
                   std::to_string(census), std::to_string(pool_stats.quarantined_now),
                   std::to_string(exec_stats.queued), std::to_string(exec_stats.in_flight)});
     if (pool_stats.quarantined_now != 0 || exec_stats.queued != 0 ||
@@ -495,15 +434,14 @@ int RunSoakPhase(bool quick, bool soak) {
   runtime.RetireSnapshot("vespid-soak");
   runtime.RetireSnapshot("soak-burst");
   runtime.pool().DrainCleaner();
-  const uint64_t final_resident = CheckedResident(runtime.pool(), &failures);
+  const uint64_t final_resident =
+      benchutil::CheckPoolLaws(runtime.pool(), &failures).affine_resident_bytes;
   if (final_resident != 0 || runtime.pool().TotalAffineShells() != 0) {
     std::printf("FAIL: retirement left %llu resident bytes / %zu affine shells\n",
                 static_cast<unsigned long long>(final_resident),
                 runtime.pool().TotalAffineShells());
     ++failures;
   }
-  const wasp::PoolStats end_stats = runtime.pool().stats();
-  CheckQuarantineLedger(end_stats, &failures);
   std::printf("\nClaim check: %d paced rounds, %llu background faults absorbed; "
               "quarantine/queue gauges zero after every round, shell census stable, "
               "and retirement drained residency to zero.\n",
@@ -616,7 +554,7 @@ RecoveryRun RunRecoveryLoad(const visa::Image& image, bool breaker, int jobs,
       window.pop_front();
     }
     if (i % 16 == 0) {
-      CheckExecutorConservation(executor.stats(), failures);
+      benchutil::CheckLaws(wasp::CheckInvariants(executor.stats()), failures);
     }
   }
   while (!window.empty()) {
@@ -624,8 +562,10 @@ RecoveryRun RunRecoveryLoad(const visa::Image& image, bool breaker, int jobs,
     window.pop_front();
   }
 
-  const wasp::ExecutorStats stats = QuiescedExecutorStats(executor);
-  CheckExecutorConservation(stats, failures);
+  // The worker settles a job's counters before resolving its future, so the
+  // books are closed once every future above is consumed.
+  const wasp::ExecutorStats stats = executor.stats();
+  benchutil::CheckLaws(wasp::CheckInvariants(stats), failures);
   // The retried-job invariant: every admitted job resolves exactly once,
   // retries never mint or lose a submission.
   if (stats.submitted != run.executed || stats.completed + stats.faulted != run.executed ||

@@ -7,6 +7,11 @@
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
 #   SOAK=1 ./ci.sh      # default lane + the full fig17 chaos/soak run (longer)
 #   BUILD_DIR=out ./ci.sh
+#
+# The sanitizer lanes build RelWithDebInfo without -DNDEBUG, so debug asserts
+# run there: the executor's stats() checks its accounting laws
+# (wasp::CheckInvariants) on every snapshot under every threaded suite.  The
+# default lane keeps NDEBUG because fig9's p99 gates time the release build.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -35,6 +40,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
               test_listener)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${TSAN_TESTS[@]}"
   total=0
@@ -60,6 +66,7 @@ if [[ "${ASAN:-0}" == "1" ]]; then
               test_http_server_concurrency)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   total=0

@@ -137,6 +137,15 @@ ListenerStats Listener::stats() const {
   return stats_;
 }
 
+vbase::Status CheckInvariants(const ListenerStats& stats, bool stopped) {
+  if (stopped ? stats.closed == stats.accepted : stats.closed <= stats.accepted) {
+    return vbase::Status::Ok();
+  }
+  return vbase::Internal("L1 closed " + std::to_string(stats.closed) +
+                         (stopped ? " != accepted " : " > accepted ") +
+                         std::to_string(stats.accepted) + (stopped ? " after Stop()" : ""));
+}
+
 void Listener::Loop() {
   epoll_event events[kMaxEpollEvents];
   while (!stop_requested_.load(std::memory_order_acquire)) {

@@ -87,6 +87,12 @@ struct ListenerStats {
   uint64_t requests_forwarded = 0;  // complete requests handed to the server
 };
 
+// The listener's accounting law.
+//   L1  closed <= accepted, with equality once the listener is stopped
+//       (Stop() counts the connections it closes itself).
+// Returns OK, or an error naming the law with both sides.
+vbase::Status CheckInvariants(const ListenerStats& stats, bool stopped);
+
 // One TCP listener bound to 127.0.0.1, serving through a ConcurrentHttpServer.
 // The server must be configured with block_when_full = false: admission
 // rejections must answer 503/429 immediately rather than block the event

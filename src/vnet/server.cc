@@ -687,15 +687,7 @@ std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
 
 std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
     wasp::ByteChannel& channel, ServeMode mode, const std::string& route) {
-  auto it = options_.route_classes.find(route);
-  const wasp::KeyClass klass =
-      it != options_.route_classes.end() ? it->second : wasp::KeyClass::kLatency;
-  // The route is the governance key: quota accounting and the affinity scan
-  // both group by it.  Note the trade: every snapshot-mode connection still
-  // restores the one static-handler snapshot, so distinct route keys give
-  // up some cross-route affinity-scan locality in exchange for per-route
-  // quota isolation.
-  return Dispatch(channel, mode, "route:" + route, klass, options_.connection);
+  return SubmitConnection(channel, mode, route, options_.connection);
 }
 
 std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
@@ -704,6 +696,11 @@ std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
   auto it = options_.route_classes.find(route);
   const wasp::KeyClass klass =
       it != options_.route_classes.end() ? it->second : wasp::KeyClass::kLatency;
+  // The route is the governance key: quota accounting and the affinity scan
+  // both group by it.  Note the trade: every snapshot-mode connection still
+  // restores the one static-handler snapshot, so distinct route keys give
+  // up some cross-route affinity-scan locality in exchange for per-route
+  // quota isolation.
   return Dispatch(channel, mode, "route:" + route, klass, conn);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <sstream>
 #include <utility>
 
 #include "src/base/clock.h"
@@ -171,13 +172,27 @@ ExecutorStats Executor::stats() const {
   ExecutorStats out = stats_;
   out.queued = TotalQueuedLocked();
   out.in_flight = in_flight_;
-  // Debug-build audit of the conservation law at *every* snapshot, not just
+  // Debug-build audit of the accounting laws at *every* snapshot, not just
   // test quiesce points.  The retry path keeps a retried job in `in_flight`
   // across both attempts, so no observation may catch a job outside all four
   // buckets.  (assert, not VB_CHECK: VB_CHECK aborts in release builds too,
   // and a stats snapshot must stay cheap there.)
-  assert(out.submitted == out.completed + out.faulted + out.queued + out.in_flight);
+  assert(CheckInvariants(out).ok());
   return out;
+}
+
+vbase::Status CheckInvariants(const ExecutorStats& s) {
+  std::ostringstream broken;
+  if (s.submitted != s.completed + s.faulted + s.queued + s.in_flight) {
+    broken << "E1 submitted " << s.submitted << " != completed " << s.completed
+           << " + faulted " << s.faulted << " + queued " << s.queued << " + in_flight "
+           << s.in_flight;
+  } else if (s.dequeued_latency + s.dequeued_batch != s.completed + s.faulted + s.in_flight) {
+    broken << "E2 dequeued_latency " << s.dequeued_latency << " + dequeued_batch "
+           << s.dequeued_batch << " != completed " << s.completed << " + faulted " << s.faulted
+           << " + in_flight " << s.in_flight;
+  }
+  return broken.tellp() == 0 ? vbase::Status::Ok() : vbase::Internal(broken.str());
 }
 
 size_t Executor::KeyLoad(const std::string& key) const {
@@ -197,8 +212,8 @@ double Executor::KeyFaultRate(const std::string& key) const {
 void Executor::WorkerLoop(uint32_t worker_index) {
   // Register this worker as a pool lane: its acquires and releases hit a
   // dedicated single-slot shell cache before any shared structure, and its
-  // stable lane id keeps it mapped to the same pool shard (and modeled NUMA
-  // node) across the executor's lifetime.
+  // stable lane id keeps it mapped to the same pool shard across the
+  // executor's lifetime.
   Pool::BindLane(worker_index);
   // Keyed submit hint: a worker that just ran snapshot key K parked K's
   // shell snapshot-affine in its home pool shard, so a queued job with the

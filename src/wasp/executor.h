@@ -85,6 +85,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/wasp/admission.h"
 #include "src/wasp/runtime.h"
 
@@ -133,9 +134,8 @@ struct ExecutorOptions {
 
 // Monotone admission/progress counters (BatchStats' sibling for the
 // long-lived submission path), plus two gauges snapshotted under the same
-// lock so accounting invariants are checkable at any observation point:
-//   submitted == completed + faulted + queued + in_flight
-// A faulted completion still releases its key-quota slot (queued +
+// lock so the accounting laws (CheckInvariants below) hold at every
+// observation point.  A faulted completion still releases its key-quota slot (queued +
 // in-flight), so a fault storm on one key can never wedge that key's quota.
 struct ExecutorStats {
   uint64_t submitted = 0;         // jobs accepted into the queue
@@ -153,6 +153,15 @@ struct ExecutorStats {
   uint64_t queued = 0;            // gauge: jobs waiting right now
   uint64_t in_flight = 0;         // gauge: jobs running right now
 };
+
+// The executor's accounting laws.  They hold on every stats() snapshot: the
+// counters and gauges are copied under one lock, and each law's two sides
+// move under that lock together.
+//   E1  submitted == completed + faulted + queued + in_flight
+//   E2  dequeued_latency + dequeued_batch == completed + faulted + in_flight
+//       (a retry stays in flight; it is not dequeued again)
+// Returns OK, or an error naming the first broken law with both sides.
+vbase::Status CheckInvariants(const ExecutorStats& stats);
 
 class Executor {
  public:

@@ -40,9 +40,10 @@
 // sweep it up.  Both paths are counted in PoolStats (affine_evictions,
 // affine_retired, and the affine_resident_bytes gauge) so tests and benches
 // can assert the budget actually holds.  The gauge obeys a conservation
-// invariant at every observation: affine_resident_bytes ==
-// sum over live generations of (shared_bytes + private_bytes) — exposed for
-// verification via affine_accounting().
+// invariant: affine_resident_bytes == affine_shared_bytes +
+// affine_private_bytes == sum over live generations of (shared_bytes +
+// private_bytes) — CheckInvariants() below states it, with the pool's other
+// accounting laws, against stats() and affine_accounting().
 //
 // Concurrency model — the lock-free fast path.  The common-case acquire and
 // release never take a mutex and never allocate:
@@ -57,18 +58,14 @@
 //      (lane mod shards); each shard keeps tagged-pointer ABA-safe lock-free
 //      stacks (see freelist.h) for clean, affine, and dirty shells.  A lane
 //      cache miss pops the home shard's stack, then *steals* from sibling
-//      shards — nearest (modeled-)NUMA-node shards first.
+//      shards in ring order (home + 1, home + 2, ...).
 //   3. Mutex slow path.  Only when the bounded lock-free probes find
 //      nothing does an acquire take shard mutexes for an exhaustive sweep
 //      (then a fresh create).  Eviction, retirement, and the cleaner drain
 //      barrier are maintenance and serialize the same way.
 //
-// NUMA placement is *modeled* (the emulated machine has no real topology):
-// shards are split into `numa_nodes` contiguous blocks and the steal order
-// prefers same-node shards, so an affine shell's pages are reused by the
-// lane — or at worst the node — that dirtied them.  PoolStats separates
-// lane-cache hits, free-list hits, slow-path acquires, and cross-shard /
-// cross-node steals, and the pool keeps a log2-bucketed acquire-latency
+// PoolStats separates lane-cache hits, free-list hits, slow-path acquires,
+// and cross-shard steals, and the pool keeps a log2-bucketed acquire-latency
 // histogram (p50/p99 in wall ns and modeled cycles) so the fast path's
 // flatness under lane count is observable, not asserted.
 #ifndef SRC_WASP_POOL_H_
@@ -84,6 +81,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/status.h"
 #include "src/vkvm/vkvm.h"
 #include "src/wasp/freelist.h"
 
@@ -103,13 +101,12 @@ struct PoolStats {
   uint64_t cleans = 0;
   uint64_t bytes_zeroed = 0;
   // Fast-path counters.  Every acquire is served by exactly one of the
-  // three tiers: acquires == lane_cache_hits + freelist_hits +
-  // slow_path_acquires (fresh creates are slow-path by definition).
+  // three tiers (law P2 of CheckInvariants; fresh creates are slow-path by
+  // definition).
   uint64_t lane_cache_hits = 0;     // served by the caller's lane slot
   uint64_t freelist_hits = 0;       // served by a lock-free shard stack
   uint64_t slow_path_acquires = 0;  // took a shard mutex (or created fresh)
   uint64_t cross_shard_steals = 0;  // free-list hits served off-home-shard
-  uint64_t cross_node_steals = 0;   // ... and off the home's modeled NUMA node
   // Snapshot-affinity counters.
   uint64_t affine_hits = 0;      // keyed acquires served with the snapshot resident
   uint64_t affine_parks = 0;     // releases that skipped zeroing (snapshot-backed)
@@ -119,8 +116,8 @@ struct PoolStats {
   uint64_t affine_evictions = 0;       // shells evicted by the resident-byte budget
   uint64_t affine_retired = 0;         // shells eagerly reclaimed by RetireGeneration
   // Gauge: bytes parked affine right now == affine_shared_bytes +
-  // affine_private_bytes (the conservation invariant; exact at quiescence —
-  // the lock-free park/unpark paths update the three atomics one at a time).
+  // affine_private_bytes (law P3; exact at quiescence — the lock-free
+  // park/unpark paths update the three atomics one at a time).
   uint64_t affine_resident_bytes = 0;
   uint64_t affine_shared_bytes = 0;   // gauge: extent chains, once per live generation
   uint64_t affine_private_bytes = 0;  // gauge: per-shell privatized pages
@@ -129,7 +126,7 @@ struct PoolStats {
   // cleaner-crew full scrub readmits it (async mode), or it is destroyed
   // outright (sync / no pooling — there is no crew to scrub it).
   // Conservation: quarantined == quarantine_scrubbed + quarantine_destroyed
-  // + quarantined_now (exact at quiescence, like the residency gauge).
+  // + quarantined_now (law P4; exact at quiescence, like the residency gauge).
   uint64_t quarantined = 0;            // shells handed to Quarantine()
   uint64_t quarantine_scrubbed = 0;    // scrubbed + readmitted by the crew
   uint64_t quarantine_destroyed = 0;   // destroyed (no crew to scrub)
@@ -149,9 +146,9 @@ struct AcquireLatency {
 
 // A consistent point-in-time breakdown of the affine residency gauge.  The
 // per-generation rows are read from the per-generation atomic counters and
-// resident_bytes is *derived* as their sum, so sum(shared + private) over
-// rows == resident_bytes at every observation — the COW analogue of the
-// executor's submitted == completed + queued + in_flight conservation law.
+// resident_bytes is *derived* as their sum, so it is an independent witness
+// of PoolStats::affine_resident_bytes: CheckInvariants (law P3) compares
+// the two.
 struct AffineAccounting {
   struct Generation {
     uint64_t generation = 0;
@@ -177,10 +174,20 @@ struct PoolOptions {
   // Per-lane cache slots.  0 = auto: max(16, 2 * shards), enough for the
   // 16-lane fig9 sweep with every lane owning a private slot.
   int lanes = 0;
-  // Modeled NUMA topology: shards are split into this many contiguous node
-  // blocks and the steal order visits same-node shards first.  1 = flat.
-  int numa_nodes = 1;
 };
+
+// The pool's accounting laws, checked on one stats() snapshot plus one
+// affine_accounting() snapshot.  Exact when the pool is quiescent (no
+// acquire or release in flight, and DrainCleaner() has returned in async
+// mode): the lock-free paths update the counters one atomic at a time.
+//   P1  acquires == pool_hits + fresh_creates
+//   P2  acquires == lane_cache_hits + freelist_hits + slow_path_acquires
+//   P3  affine_resident_bytes == affine_shared_bytes + affine_private_bytes
+//                             == AffineAccounting::resident_bytes
+//   P4  quarantined == quarantine_scrubbed + quarantine_destroyed +
+//                      quarantined_now
+// Returns OK, or an error naming the first broken law with both sides.
+vbase::Status CheckInvariants(const PoolStats& stats, const AffineAccounting& accounting);
 
 class Pool {
  public:
@@ -194,8 +201,8 @@ class Pool {
   // Binds the calling thread to `lane` for every pool in the process (the
   // executor binds each worker to its worker index).  Unbound threads are
   // lazily assigned a process-unique lane id on first pool use; either way
-  // the lane — and thus the home shard and modeled NUMA node — is stable
-  // for the thread's lifetime.
+  // the lane — and thus the home shard — is stable for the thread's
+  // lifetime.
   static void BindLane(uint32_t lane);
 
   // Acquires a shell with the given configuration, reusing a clean pooled
@@ -203,8 +210,8 @@ class Pool {
   std::unique_ptr<vkvm::Vm> Acquire(const vkvm::VmConfig& config, bool* from_pool = nullptr);
 
   // Keyed acquire: prefers the lane cache / home shard stack holding
-  // snapshot `generation` resident (then steals from siblings, nearest node
-  // first), falling back to a clean shell and finally a fresh create.
+  // snapshot `generation` resident (then steals from siblings), falling
+  // back to a clean shell and finally a fresh create.
   // `*affine_hit` reports whether the returned shell holds the snapshot
   // (caller may delta-restore).
   std::unique_ptr<vkvm::Vm> AcquireAffine(const vkvm::VmConfig& config, uint64_t generation,
@@ -281,8 +288,6 @@ class Pool {
   CleanMode mode() const { return options_.mode; }
   size_t shard_count() const { return shards_.size(); }
   size_t lane_count() const { return lane_capacity_; }
-  // The modeled NUMA node a shard belongs to (contiguous blocks).
-  size_t NodeOfShard(size_t shard) const;
   // Clean shells of `mem_size` parked on `shard`'s free stack (lane slots
   // are lane-owned, not shard-owned, and are not counted here).
   size_t FreeShellsInShard(size_t shard, uint64_t mem_size) const;
@@ -366,7 +371,7 @@ class Pool {
   ShellNode* ScanMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
                        uint64_t generation, bool match_generation);
 
-  // Lock-free tiers 1+2 for a clean shell (lane slot, then NUMA-ordered
+  // Lock-free tiers 1+2 for a clean shell (lane slot, then home-first
   // stack pops); nullptr on miss.  Counts the serving tier.
   std::unique_ptr<vkvm::Vm> TryFastClean(const vkvm::VmConfig& config, bool* from_pool);
   // Lock-free tiers 1+2 for a generation-affine shell; nullptr on miss.
@@ -427,9 +432,6 @@ class Pool {
   size_t lane_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Lane[]> lanes_;
-  // Per-home-shard steal order: home first, then same-node shards, then
-  // remote nodes (precomputed; read-only after construction).
-  std::vector<std::vector<uint32_t>> probe_order_;
 
   // Node arena.  spare_nodes_ recycles popped nodes lock-free; all_nodes_
   // (mutex-guarded, touched only when the spare stack is empty) owns them.
@@ -481,7 +483,6 @@ class Pool {
     std::atomic<uint64_t> freelist_hits{0};
     std::atomic<uint64_t> slow_path_acquires{0};
     std::atomic<uint64_t> cross_shard_steals{0};
-    std::atomic<uint64_t> cross_node_steals{0};
     std::atomic<uint64_t> affine_hits{0};
     std::atomic<uint64_t> affine_parks{0};
     std::atomic<uint64_t> affine_reclaims{0};

@@ -171,7 +171,7 @@ struct VirtineSpec {
 
 struct RuntimeOptions {
   // The shell pool's options (cleaning mode, shards, cleaner crew, lanes,
-  // NUMA nodes, affine resident-byte budget), passed to the pool as is.
+  // affine resident-byte budget), passed to the pool as is.
   PoolOptions pool;
   vkvm::VmConfig vm_defaults;
   // Worker threads of the executor backing InvokeAsync (0 = pick from

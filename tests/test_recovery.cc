@@ -49,24 +49,9 @@ wasp::RuntimeOptions PlanOptions(wasp::FaultPlan plan) {
   return options;
 }
 
-// Polls until the executor records `completions` finished jobs.  The worker
-// settles completed/faulted, the recovery ledger, and the key-quota slot
-// *before* resolving the job's future, so this is belt-and-braces — it keeps
-// the assertions honest even if that ordering ever loosens.
-void WaitForFinished(const wasp::Executor& executor, uint64_t completions) {
-  for (int i = 0; i < 5000; ++i) {
-    const wasp::ExecutorStats stats = executor.stats();
-    if (stats.completed + stats.faulted >= completions) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-void ExpectConservation(const wasp::ExecutorStats& stats) {
-  EXPECT_EQ(stats.submitted,
-            stats.completed + stats.faulted + stats.queued + stats.in_flight);
-}
+// Every test below reads executor.stats() as soon as its last future is
+// ready, with no polling: the worker settles completed/faulted, the recovery
+// ledger, and the key-quota slot *before* resolving the job's future.
 
 // --- Retry-once -------------------------------------------------------------
 
@@ -91,14 +76,13 @@ TEST(Recovery, RetryExactlyOnceUnderWorkerDeath) {
   EXPECT_EQ(outcome.first_fault, wasp::FaultKind::kWorkerDeath);
   EXPECT_EQ(outcome.result_word, 144u);
 
-  WaitForFinished(executor, 1);
   const wasp::ExecutorStats stats = executor.stats();
   EXPECT_EQ(stats.submitted, 1u);  // counted once across both attempts
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.faulted, 0u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.retry_successes, 1u);
-  ExpectConservation(stats);
+  EXPECT_EQ(wasp::CheckInvariants(stats).ToString(), "OK");
   // Both attempts fed the EWMA: one fault, one success.
   const wasp::KeyRecoverySnapshot rec = executor.KeyRecoveryState("fib");
   EXPECT_EQ(rec.samples, 2u);
@@ -124,14 +108,13 @@ TEST(Recovery, RetryThatFaultsAgainCountsOnce) {
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kWorkerDeath);
   EXPECT_TRUE(outcome.retried);  // a retry happened; it just also died
 
-  WaitForFinished(executor, 1);
   const wasp::ExecutorStats stats = executor.stats();
   EXPECT_EQ(stats.submitted, 1u);
   EXPECT_EQ(stats.completed, 0u);
   EXPECT_EQ(stats.faulted, 1u);  // the job died once, not twice
   EXPECT_EQ(stats.retries, 1u);  // and was retried exactly once, not forever
   EXPECT_EQ(stats.retry_successes, 0u);
-  ExpectConservation(stats);
+  EXPECT_EQ(wasp::CheckInvariants(stats).ToString(), "OK");
 }
 
 TEST(Recovery, NonIdempotentKeyIsNeverRetried) {
@@ -146,7 +129,6 @@ TEST(Recovery, NonIdempotentKeyIsNeverRetried) {
   const wasp::RunOutcome outcome = future.get();
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kWorkerDeath);
   EXPECT_FALSE(outcome.retried);
-  WaitForFinished(executor, 1);
   EXPECT_EQ(executor.stats().retries, 0u);
 }
 
@@ -167,7 +149,6 @@ TEST(Recovery, NonRecoverableFaultIsNeverRetried) {
   const wasp::RunOutcome outcome = future.get();
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kGuestTrap);
   EXPECT_FALSE(outcome.retried);
-  WaitForFinished(executor, 1);
   EXPECT_EQ(executor.stats().retries, 0u);
   EXPECT_EQ(executor.stats().faulted, 1u);
 }
@@ -226,7 +207,6 @@ TEST(Recovery, BreakerOpensShedsProbesAndCloses) {
     ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "fib"), &future, wasp::KeyClass::kLatency,
                                    &admission));
     EXPECT_EQ(future.get().fault, wasp::FaultKind::kGuestTrap);
-    WaitForFinished(executor, static_cast<uint64_t>(i) + 1);
   }
   wasp::KeyRecoverySnapshot rec = executor.KeyRecoveryState("fib");
   EXPECT_EQ(rec.state, wasp::BreakerState::kOpen);
@@ -253,7 +233,6 @@ TEST(Recovery, BreakerOpensShedsProbesAndCloses) {
                                  &admission));
   EXPECT_EQ(admission, wasp::Admission::kAccepted);
   EXPECT_EQ(probe.get().fault, wasp::FaultKind::kNone);
-  WaitForFinished(executor, 5);
   rec = executor.KeyRecoveryState("fib");
   EXPECT_EQ(rec.state, wasp::BreakerState::kClosed);
   EXPECT_EQ(rec.fault_rate, 0.0);  // clean slate after a clean probe
@@ -263,11 +242,10 @@ TEST(Recovery, BreakerOpensShedsProbesAndCloses) {
   std::future<wasp::RunOutcome> after;
   ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "fib"), &after));
   EXPECT_EQ(after.get().fault, wasp::FaultKind::kNone);
-  WaitForFinished(executor, 6);
   const wasp::ExecutorStats stats = executor.stats();
   EXPECT_EQ(stats.submitted, 6u);  // 4 storm + probe + 1 clean; sheds never entered
   EXPECT_EQ(stats.breaker_opens, 1u);
-  ExpectConservation(stats);
+  EXPECT_EQ(wasp::CheckInvariants(stats).ToString(), "OK");
 }
 
 TEST(Recovery, FaultedProbeReopensBreaker) {
@@ -290,7 +268,6 @@ TEST(Recovery, FaultedProbeReopensBreaker) {
     std::future<wasp::RunOutcome> future;
     ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "fib"), &future));
     future.get();
-    WaitForFinished(executor, static_cast<uint64_t>(i) + 1);
   }
   ASSERT_EQ(executor.KeyRecoveryState("fib").state, wasp::BreakerState::kOpen);
 
@@ -300,7 +277,6 @@ TEST(Recovery, FaultedProbeReopensBreaker) {
   std::future<wasp::RunOutcome> probe;
   ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "fib"), &probe));
   EXPECT_EQ(probe.get().fault, wasp::FaultKind::kGuestTrap);
-  WaitForFinished(executor, 5);
   const wasp::KeyRecoverySnapshot rec = executor.KeyRecoveryState("fib");
   EXPECT_EQ(rec.state, wasp::BreakerState::kOpen);
   EXPECT_EQ(rec.opens, 2u);
@@ -325,7 +301,6 @@ TEST(Recovery, EwmaTracksFaultRateWithBreakerDisabled) {
     std::future<wasp::RunOutcome> future;
     ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "fib"), &future));
     future.get();
-    WaitForFinished(executor, static_cast<uint64_t>(i) + 1);
   }
   const wasp::KeyRecoverySnapshot rec = executor.KeyRecoveryState("fib");
   EXPECT_EQ(rec.samples, 3u);
@@ -431,9 +406,7 @@ TEST(Recovery, ConcurrentStormAndProbesKeepAccountingConserved) {
   // and probe — the TSan lane checks this exact interleaving.
   std::thread sampler([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      const wasp::ExecutorStats stats = executor.stats();
-      EXPECT_EQ(stats.submitted,
-                stats.completed + stats.faulted + stats.queued + stats.in_flight);
+      EXPECT_EQ(wasp::CheckInvariants(executor.stats()).ToString(), "OK");
       (void)executor.KeyRecoveryState("storm");
       (void)executor.KeyFaultRate("calm");
       std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -465,7 +438,6 @@ TEST(Recovery, ConcurrentStormAndProbesKeepAccountingConserved) {
   for (std::thread& thread : threads) {
     thread.join();
   }
-  WaitForFinished(executor, accepted.load());
   done.store(true);
   sampler.join();
 
@@ -475,7 +447,7 @@ TEST(Recovery, ConcurrentStormAndProbesKeepAccountingConserved) {
   EXPECT_EQ(stats.submitted + stats.breaker_rejected,
             static_cast<uint64_t>(kThreads) * kPerThread + 1);
   EXPECT_EQ(stats.completed + stats.faulted, stats.submitted);
-  ExpectConservation(stats);
+  EXPECT_EQ(wasp::CheckInvariants(stats).ToString(), "OK");
   // Only the storm key ever sheds: the calm key's breaker never trips.
   EXPECT_EQ(calm_shed.load(), 0u);
   EXPECT_EQ(executor.KeyRecoveryState("calm").fault_rate, 0.0);

@@ -1,13 +1,18 @@
 // Wasp runtime tests: pooling (reuse + information-leak regression),
 // snapshotting, hypercall policy enforcement, canned handler validation
-// against hostile guests, channels, and marshalling properties.
+// against hostile guests, channels, marshalling properties, and the
+// accounting-law checkers (CheckInvariants) themselves.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
+#include <vector>
 
+#include "src/vnet/listener.h"
 #include "src/vrt/env.h"
 #include "src/vrt/samples.h"
 #include "src/wasp/channel.h"
+#include "src/wasp/executor.h"
 #include "src/wasp/pool.h"
 #include "src/wasp/runtime.h"
 #include "src/wasp/vfunc.h"
@@ -551,6 +556,119 @@ TEST(Stats, PoolAndSnapshotFlagsAreAccurate) {
   EXPECT_GT(add.last_outcome().stats.restored_bytes, 0u);
   EXPECT_GT(add.last_outcome().stats.total_cycles, 0u);
   EXPECT_GT(add.last_outcome().stats.total_ns, 0u);
+}
+
+// --- Accounting laws ------------------------------------------------------------
+
+// The checkers themselves: a consistent snapshot passes, and a snapshot that
+// breaks exactly one law fails with that law's name leading the message.
+
+wasp::PoolStats ConsistentPoolStats() {
+  wasp::PoolStats s;
+  s.acquires = 10;
+  s.pool_hits = 7;
+  s.fresh_creates = 3;
+  s.lane_cache_hits = 4;
+  s.freelist_hits = 3;
+  s.slow_path_acquires = 3;
+  s.affine_shared_bytes = 8192;
+  s.affine_private_bytes = 4096;
+  s.affine_resident_bytes = 12288;
+  s.quarantined = 5;
+  s.quarantine_scrubbed = 2;
+  s.quarantine_destroyed = 1;
+  s.quarantined_now = 2;
+  return s;
+}
+
+wasp::AffineAccounting ConsistentAccounting() {
+  wasp::AffineAccounting acct;
+  acct.generations.push_back({/*generation=*/1, /*shared_bytes=*/8192,
+                              /*private_bytes=*/4096, /*parked_shells=*/2});
+  acct.resident_bytes = 12288;
+  return acct;
+}
+
+TEST(AccountingLaws, ConsistentPoolSnapshotPasses) {
+  EXPECT_EQ(wasp::CheckInvariants(ConsistentPoolStats(), ConsistentAccounting()).ToString(),
+            "OK");
+  EXPECT_EQ(wasp::CheckInvariants(wasp::PoolStats{}, wasp::AffineAccounting{}).ToString(), "OK");
+}
+
+TEST(AccountingLaws, EachBrokenPoolLawIsNamed) {
+  struct Case {
+    const char* law;
+    std::function<void(wasp::PoolStats&, wasp::AffineAccounting&)> breaks;
+  };
+  const std::vector<Case> cases = {
+      {"P1", [](wasp::PoolStats& s, wasp::AffineAccounting&) { s.pool_hits = 8; }},
+      {"P2", [](wasp::PoolStats& s, wasp::AffineAccounting&) { s.lane_cache_hits = 5; }},
+      // The gauge disagrees with its own shared/private split ...
+      {"P3", [](wasp::PoolStats& s, wasp::AffineAccounting&) { s.affine_private_bytes = 0; }},
+      // ... or, split intact, with the per-generation rows.
+      {"P3", [](wasp::PoolStats&, wasp::AffineAccounting& a) { a.resident_bytes = 8192; }},
+      {"P4", [](wasp::PoolStats& s, wasp::AffineAccounting&) { s.quarantine_scrubbed = 3; }},
+  };
+  for (const Case& c : cases) {
+    wasp::PoolStats stats = ConsistentPoolStats();
+    wasp::AffineAccounting acct = ConsistentAccounting();
+    c.breaks(stats, acct);
+    const vbase::Status laws = wasp::CheckInvariants(stats, acct);
+    EXPECT_FALSE(laws.ok()) << c.law;
+    EXPECT_EQ(laws.message().rfind(std::string(c.law) + " ", 0), 0u) << laws.message();
+  }
+}
+
+wasp::ExecutorStats ConsistentExecutorStats() {
+  wasp::ExecutorStats s;
+  s.submitted = 10;
+  s.completed = 5;
+  s.faulted = 1;
+  s.queued = 2;
+  s.in_flight = 2;
+  s.dequeued_latency = 6;
+  s.dequeued_batch = 2;
+  return s;
+}
+
+TEST(AccountingLaws, EachBrokenExecutorLawIsNamed) {
+  EXPECT_EQ(wasp::CheckInvariants(ConsistentExecutorStats()).ToString(), "OK");
+  EXPECT_EQ(wasp::CheckInvariants(wasp::ExecutorStats{}).ToString(), "OK");
+  struct Case {
+    const char* law;
+    std::function<void(wasp::ExecutorStats&)> breaks;
+  };
+  const std::vector<Case> cases = {
+      {"E1", [](wasp::ExecutorStats& s) { s.queued = 3; }},
+      {"E2", [](wasp::ExecutorStats& s) { s.dequeued_batch = 3; }},
+  };
+  for (const Case& c : cases) {
+    wasp::ExecutorStats stats = ConsistentExecutorStats();
+    c.breaks(stats);
+    const vbase::Status laws = wasp::CheckInvariants(stats);
+    EXPECT_FALSE(laws.ok()) << c.law;
+    EXPECT_EQ(laws.message().rfind(std::string(c.law) + " ", 0), 0u) << laws.message();
+  }
+}
+
+TEST(AccountingLaws, ListenerLawTightensOnceStopped) {
+  vnet::ListenerStats stats;
+  stats.accepted = 3;
+  stats.closed = 2;
+  EXPECT_EQ(vnet::CheckInvariants(stats, /*stopped=*/false).ToString(), "OK");
+  // Stopped with a connection unaccounted for.
+  const vbase::Status open_after_stop = vnet::CheckInvariants(stats, /*stopped=*/true);
+  EXPECT_FALSE(open_after_stop.ok());
+  EXPECT_EQ(open_after_stop.message().rfind("L1 ", 0), 0u) << open_after_stop.message();
+  stats.closed = 3;
+  EXPECT_EQ(vnet::CheckInvariants(stats, /*stopped=*/true).ToString(), "OK");
+  // More closes than accepts is broken whether or not the listener stopped.
+  stats.closed = 4;
+  for (bool stopped : {false, true}) {
+    const vbase::Status laws = vnet::CheckInvariants(stats, stopped);
+    EXPECT_FALSE(laws.ok());
+    EXPECT_EQ(laws.message().rfind("L1 ", 0), 0u) << laws.message();
+  }
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(Concurrency, PoolHammerSyncConservesShells) {
   const wasp::PoolStats stats = pool.stats();
   EXPECT_EQ(stats.acquires, static_cast<uint64_t>(kThreads * kItersPerThread));
   EXPECT_EQ(stats.releases, stats.acquires);
-  EXPECT_EQ(stats.acquires, stats.pool_hits + stats.fresh_creates);
+  EXPECT_EQ(wasp::CheckInvariants(stats, pool.affine_accounting()).ToString(), "OK");
   EXPECT_EQ(stats.cleans, stats.releases);
   // Every fresh-created shell must end up parked in some free list.
   EXPECT_EQ(pool.TotalFreeShells(), stats.fresh_creates);
@@ -68,7 +68,7 @@ TEST(Concurrency, PoolHammerAsyncCleanerCrewConservesShells) {
   const wasp::PoolStats stats = pool.stats();
   EXPECT_EQ(stats.acquires, static_cast<uint64_t>(kThreads * kItersPerThread));
   EXPECT_EQ(stats.releases, stats.acquires);
-  EXPECT_EQ(stats.acquires, stats.pool_hits + stats.fresh_creates);
+  EXPECT_EQ(wasp::CheckInvariants(stats, pool.affine_accounting()).ToString(), "OK");
   EXPECT_EQ(stats.cleans, stats.releases);
   EXPECT_EQ(pool.TotalFreeShells(), stats.fresh_creates);
 }
@@ -158,7 +158,7 @@ TEST(Concurrency, ConcurrentInvokeComputesCorrectResults) {
   runtime.pool().DrainCleaner();
   const wasp::PoolStats stats = runtime.pool().stats();
   EXPECT_EQ(stats.acquires, static_cast<uint64_t>(kThreads * kItersPerThread));
-  EXPECT_EQ(stats.acquires, stats.pool_hits + stats.fresh_creates);
+  EXPECT_EQ(wasp::CheckInvariants(stats, runtime.pool().affine_accounting()).ToString(), "OK");
   EXPECT_EQ(stats.releases, stats.acquires);
   EXPECT_EQ(runtime.pool().TotalFreeShells(), stats.fresh_creates);
 }
@@ -207,7 +207,7 @@ TEST(Concurrency, KeyedAcquireReleaseRaceConservesShells) {
   const wasp::PoolStats stats = pool.stats();
   EXPECT_EQ(stats.acquires, static_cast<uint64_t>(kThreads * kItersPerThread));
   EXPECT_EQ(stats.releases, stats.acquires);
-  EXPECT_EQ(stats.acquires, stats.pool_hits + stats.fresh_creates);
+  EXPECT_EQ(wasp::CheckInvariants(stats, pool.affine_accounting()).ToString(), "OK");
   // Conservation: every shell ever created is parked free or affine.
   EXPECT_EQ(pool.TotalFreeShells() + pool.TotalAffineShells(), stats.fresh_creates);
   EXPECT_GT(stats.affine_parks, 0u);
@@ -626,9 +626,9 @@ TEST(Concurrency, ExecutorFifoAcrossClassesWhenWeightingDisabled) {
 }
 
 TEST(Concurrency, AdmissionAccountingInvariantHoldsAtEveryObservationPoint) {
-  // The differential accounting check: submitted == completed + queued +
-  // in_flight must hold at *every* stats() snapshot (the gauges are read
-  // under the same lock as the counters), and every TrySubmit attempt must
+  // The differential accounting check: the executor's accounting laws must
+  // hold at *every* stats() snapshot (the gauges are read under the same
+  // lock as the counters), and every TrySubmit attempt must
   // be accounted exactly once as accepted, quota-rejected, or rejected.
   wasp::Runtime runtime;
   wasp::ExecutorOptions options;
@@ -671,9 +671,8 @@ TEST(Concurrency, AdmissionAccountingInvariantHoldsAtEveryObservationPoint) {
 
   for (int i = 0; i < 400; ++i) {
     const wasp::ExecutorStats s = executor.stats();
-    ASSERT_EQ(s.submitted, s.completed + s.queued + s.in_flight)
-        << "submitted=" << s.submitted << " completed=" << s.completed
-        << " queued=" << s.queued << " in_flight=" << s.in_flight;
+    ASSERT_EQ(wasp::CheckInvariants(s).ToString(), "OK");
+    ASSERT_EQ(s.faulted, 0u);
     ASSERT_LE(s.queued, options.max_queue_depth);
   }
   stop.store(true);
@@ -799,7 +798,8 @@ TEST(Concurrency, TrySubmitThenTeardownResolvesEveryAcceptedFuture) {
     const wasp::ExecutorStats mid = executor.stats();
     EXPECT_EQ(mid.submitted, accepted);
     EXPECT_EQ(mid.submitted + mid.rejected + mid.quota_rejected, attempts);
-    EXPECT_EQ(mid.submitted, mid.completed + mid.queued + mid.in_flight);
+    EXPECT_EQ(wasp::CheckInvariants(mid).ToString(), "OK");
+    EXPECT_EQ(mid.faulted, 0u);
     // Executor destroyed here, typically with jobs still queued/in flight.
   }
   EXPECT_GT(accepted, 0u);
@@ -928,7 +928,6 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
   options.mode = wasp::CleanMode::kSync;
   options.shards = 4;
   options.lanes = kThreads;
-  options.numa_nodes = 2;                      // exercise the NUMA steal order
   options.affine_budget_bytes = 3ULL << 20;    // ~3 shells: evictions guaranteed
   wasp::Pool pool(options);
   constexpr int kRounds = 3;
@@ -969,22 +968,14 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
     for (std::thread& thread : threads) {
       thread.join();
     }
-    // Quiesce point: conservation and tier partition must hold exactly.
+    // Quiesce point: the accounting laws (tier partition and residency
+    // included) and shell conservation must hold exactly.
     const wasp::PoolStats stats = pool.stats();
-    EXPECT_EQ(stats.acquires, stats.pool_hits + stats.fresh_creates);
-    EXPECT_EQ(stats.acquires,
-              stats.lane_cache_hits + stats.freelist_hits + stats.slow_path_acquires);
+    EXPECT_EQ(wasp::CheckInvariants(stats, pool.affine_accounting()).ToString(), "OK");
     EXPECT_EQ(stats.releases, stats.acquires);
     EXPECT_EQ(pool.TotalFreeShells() + pool.TotalAffineShells(), stats.fresh_creates);
     EXPECT_EQ(pool.AffineShells(gens[1]), 0u) << "retired generation re-parked";
-    // The gauge equals the per-generation rows at quiescence.
-    const wasp::AffineAccounting acct = pool.affine_accounting();
-    uint64_t sum = 0;
-    for (const auto& gen : acct.generations) {
-      sum += gen.shared_bytes + gen.private_bytes;
-    }
-    EXPECT_EQ(sum, acct.resident_bytes);
-    EXPECT_LE(acct.resident_bytes, options.affine_budget_bytes);
+    EXPECT_LE(stats.affine_resident_bytes, options.affine_budget_bytes);
   }
   // Deterministic eviction epilogue: overstuff the 3 MB budget with four
   // 1 MB parks under distinct generations — the budget must evict (LRU
@@ -1002,6 +993,7 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
     }
   }
   const wasp::PoolStats stats = pool.stats();
+  EXPECT_EQ(wasp::CheckInvariants(stats, pool.affine_accounting()).ToString(), "OK");
   EXPECT_GT(stats.affine_evictions, 0u);
   EXPECT_LE(pool.affine_accounting().resident_bytes, options.affine_budget_bytes);
   EXPECT_EQ(pool.TotalFreeShells() + pool.TotalAffineShells(), stats.fresh_creates);
@@ -1060,7 +1052,7 @@ TEST(Concurrency, ConcurrentQuarantineConservesShellsAndScrubsAll) {
   const wasp::PoolStats stats = pool.stats();
   EXPECT_EQ(stats.releases, stats.acquires);
   EXPECT_EQ(stats.quarantined, static_cast<uint64_t>(kThreads * kItersPerThread / 4));
-  EXPECT_EQ(stats.quarantined, stats.quarantine_scrubbed + stats.quarantine_destroyed);
+  EXPECT_EQ(wasp::CheckInvariants(stats, pool.affine_accounting()).ToString(), "OK");
   EXPECT_EQ(stats.quarantine_destroyed, 0u) << "async crew must scrub, not destroy";
   EXPECT_EQ(stats.quarantined_now, 0u);
   // Every shell ever created is parked somewhere clean; none leaked through
